@@ -7,7 +7,7 @@ GO ?= go
 #   make fuzz FUZZTIME=5m
 FUZZTIME ?= 30s
 
-.PHONY: all build test test-invariant lint vet fbvet sarif doc-lint perfgate perfgate-sarif race bench bench-guard bench-json bench-require bench-compare bench-json-replicate bench-require-replicate bench-srm bench-require-srm trace-check fuzz soak clean
+.PHONY: all build test test-invariant lint vet fbvet sarif doc-lint perfgate perfgate-sarif race bench bench-guard bench-json bench-require bench-compare bench-json-replicate bench-require-replicate perfbench-test trace-check fuzz soak clean
 
 all: build lint test
 
@@ -82,15 +82,20 @@ bench-guard:
 	$(GO) test -run '^$$' -bench 'BenchmarkLandlord$$' -benchmem -benchtime=100x ./internal/policy/landlord/
 	$(GO) test -run '^$$' -bench 'BenchmarkSpan(Disabled|Enabled|Promoted)' -benchmem -benchtime=100x ./internal/obs/span/
 
+# CORE_BENCH runs the core/landlord/simulate benchmarks and pipes them into
+# benchjson, requiring every expected benchmark; bench-json, bench-require
+# and bench-compare append only their output flags.
+CORE_BENCH = $(GO) test -run '^$$' -bench 'OptCacheSelect|BenchmarkLandlord|RunEvents|Run(OptFileBundle|Landlord)1000' \
+		-benchmem -benchtime=100x ./internal/core/ ./internal/policy/landlord/ ./internal/simulate/ \
+	| $(GO) run ./cmd/benchjson -require OptCacheSelect -require Landlord \
+		-require RunEvents -require RunOptFileBundle1000
+
 # bench-json runs the core/landlord/simulate benchmarks and converts the
 # text output into schema-versioned JSON (BENCH_core.json) via benchjson —
 # one point of the benchmark trajectory. The -require flags make a run that
 # silently lost an expected benchmark fail instead of writing a thin file.
 bench-json:
-	$(GO) test -run '^$$' -bench 'OptCacheSelect|BenchmarkLandlord|RunEvents|Run(OptFileBundle|Landlord)1000' \
-		-benchmem -benchtime=100x ./internal/core/ ./internal/policy/landlord/ ./internal/simulate/ \
-		| $(GO) run ./cmd/benchjson -require OptCacheSelect -require Landlord \
-			-require RunEvents -require RunOptFileBundle1000 -out BENCH_core.json
+	$(CORE_BENCH) -out BENCH_core.json
 	@echo wrote BENCH_core.json
 
 # bench-require re-runs the bench-json benchmarks and compares against the
@@ -102,11 +107,7 @@ bench-json:
 # `make bench-json` when a perf change is intentional.
 NSRATIO ?= 10
 bench-require:
-	$(GO) test -run '^$$' -bench 'OptCacheSelect|BenchmarkLandlord|RunEvents|Run(OptFileBundle|Landlord)1000' \
-		-benchmem -benchtime=100x ./internal/core/ ./internal/policy/landlord/ ./internal/simulate/ \
-		| $(GO) run ./cmd/benchjson -require OptCacheSelect -require Landlord \
-			-require RunEvents -require RunOptFileBundle1000 \
-			-baseline BENCH_core.json -max-ns-ratio $(NSRATIO) -max-alloc-ratio 1.01 -out /dev/null
+	$(CORE_BENCH) -baseline BENCH_core.json -max-ns-ratio $(NSRATIO) -max-alloc-ratio 1.01 -out /dev/null
 
 # bench-compare re-runs the bench-json benchmarks against the checked-in
 # baseline and writes the before/after table to bench-compare.md — the
@@ -114,12 +115,8 @@ bench-require:
 # written even when the comparison regresses (the exit code still fails the
 # step); NSRATIO gates timing exactly as in bench-require.
 bench-compare:
-	$(GO) test -run '^$$' -bench 'OptCacheSelect|BenchmarkLandlord|RunEvents|Run(OptFileBundle|Landlord)1000' \
-		-benchmem -benchtime=100x ./internal/core/ ./internal/policy/landlord/ ./internal/simulate/ \
-		| $(GO) run ./cmd/benchjson -require OptCacheSelect -require Landlord \
-			-require RunEvents -require RunOptFileBundle1000 \
-			-baseline BENCH_core.json -max-ns-ratio $(NSRATIO) -max-alloc-ratio 1.01 \
-			-markdown bench-compare.md -out /dev/null
+	$(CORE_BENCH) -baseline BENCH_core.json -max-ns-ratio $(NSRATIO) -max-alloc-ratio 1.01 \
+		-markdown bench-compare.md -out /dev/null
 	@echo wrote bench-compare.md
 
 # bench-json-replicate snapshots the replication planner's benchmarks
@@ -140,28 +137,14 @@ bench-require-replicate:
 		| $(GO) run ./cmd/benchjson -require Plan -require PredictorObserve -require Replan \
 			-baseline BENCH_replicate.json -max-ns-ratio $(NSRATIO) -max-alloc-ratio 1.01 -out /dev/null
 
-# bench-srm snapshots the serving path's closed-loop latency SLO point into
-# BENCH_srm_latency.json: srmbench drives an in-process SRM server (span
-# flight recorder attached) over loopback TCP and reports the
-# client-observed stage+release p50/p99 and throughput as go-bench lines
-# that benchjson converts. Regenerate when a serving-path change moves the
-# quantiles intentionally.
-bench-srm:
-	$(GO) run ./cmd/srmbench -self -latency -clients 4 -jobs 50 \
-		| $(GO) run ./cmd/benchjson -require SRMStageP50 -require SRMStageP99 -require SRMThroughput \
-			-out BENCH_srm_latency.json
-	@echo wrote BENCH_srm_latency.json
-
-# bench-require-srm re-runs the latency bench and gates only on presence
-# against the checked-in BENCH_srm_latency.json: every baseline quantile
-# must still be emitted (a run that silently lost the SLO numbers fails).
-# Wall-clock quantiles over loopback TCP on shared runners are far too
-# noisy for a ratio gate, so the timing comparison stays off (-max-ns-ratio
-# 0); trend review happens on the checked-in trajectory instead.
-bench-require-srm:
-	$(GO) run ./cmd/srmbench -self -latency -clients 4 -jobs 50 \
-		| $(GO) run ./cmd/benchjson -require SRMStageP50 -require SRMStageP99 -require SRMThroughput \
-			-baseline BENCH_srm_latency.json -max-ns-ratio 0 -out /dev/null
+# perfbench-test vets and tests the end-to-end serving benchmark
+# (perfbench/, a module of its own, so `go test ./...` at the root skips
+# it): every workload reports every metric, BENCHMARK.json matches the
+# metric tables, and the attribution self-test shows a slowed layer fails
+# the bounds and is credited to that layer. `bash perfbench/run.sh
+# --workload hot` produces the numbers themselves.
+perfbench-test:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # trace-check replays the golden event trace through the offline validator:
 # reconstructed residency must satisfy the cache invariants at the golden

@@ -1,8 +1,8 @@
 // Command fbtrace analyzes the JSONL event traces written by cachesim
 // -trace-out and srmbench -trace-out (cache/policy/simulator events: loads,
-// evicts, admissions, stagings, servings). For the other trace format in
-// this repo — workload traces holding file catalogs and request streams, as
-// written by tracegen — use the traceinfo command instead.
+// evicts, admissions, stagings, servings). Its workload subcommand reads
+// the other trace format in this repo: workload traces holding file
+// catalogs and request streams, as written by tracegen.
 //
 // Subcommands:
 //
@@ -22,6 +22,10 @@
 //	    Per-op latency table (p50/p90/p99/max from exact durations), the
 //	    slowest requests, and reconstructed request trees from the span
 //	    events dumped by the flight recorder (srmd -flight-out).
+//	fbtrace workload trace.json|trace.gob
+//	    File and request pool statistics, popularity concentration,
+//	    file-sharing degree (the d of Theorem 4.1) and the reference cache
+//	    size in requests of a tracegen workload trace.
 package main
 
 import (
@@ -31,12 +35,15 @@ import (
 	"math"
 	"os"
 	"sort"
+	"strings"
 	"time"
 
 	"fbcache/internal/obs"
 	"fbcache/internal/obs/analyze"
 	"fbcache/internal/obs/span"
 	"fbcache/internal/obs/traceio"
+	"fbcache/internal/trace"
+	"fbcache/internal/workload"
 )
 
 func main() {
@@ -51,9 +58,9 @@ commands:
   critical-path  per-job queue/transfer/process breakdown, slowest jobs
   diff           compare two traces event-by-event (exit 1 when they differ)
   spans          per-op latency table, slowest requests, request trees
+  workload       describe a workload trace (tracegen .json or .gob output)
 
-fbtrace reads event traces (cachesim -trace-out); for workload traces
-(tracegen output) use traceinfo.
+Every command but workload reads event traces (cachesim -trace-out).
 `
 
 // run dispatches the subcommand and returns the process exit code:
@@ -76,6 +83,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return runDiff(rest, stdout, stderr)
 	case "spans":
 		return runSpans(rest, stdout, stderr)
+	case "workload":
+		return runWorkload(rest, stdout, stderr)
 	case "-h", "-help", "--help", "help":
 		fmt.Fprint(stdout, usageText)
 		return 0
@@ -355,6 +364,42 @@ func printTree(w io.Writer, n *span.Node, depth int) {
 	for _, c := range n.Children {
 		printTree(w, c, depth+1)
 	}
+}
+
+// runWorkload describes a workload trace (tracegen output), decoding gob
+// for a .gob suffix and JSON otherwise.
+func runWorkload(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("fbtrace workload", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	if fs.NArg() != 1 {
+		fmt.Fprintln(stderr, "usage: fbtrace workload <trace.json|trace.gob>")
+		return 2
+	}
+	path := fs.Arg(0)
+	f, err := os.Open(path)
+	if err != nil {
+		fmt.Fprintf(stderr, "fbtrace: %v\n", err)
+		return 1
+	}
+	defer func() {
+		_ = f.Close() // read-only handle
+	}()
+	var w *workload.Workload
+	if strings.HasSuffix(path, ".gob") {
+		w, err = trace.ReadGob(f)
+	} else {
+		w, err = trace.ReadJSON(f)
+	}
+	if err != nil {
+		fmt.Fprintf(stderr, "fbtrace: %v\n", err)
+		return 1
+	}
+	fmt.Fprintf(stdout, "trace: %s\n\n", path)
+	workload.Describe(w).Render(stdout)
+	return 0
 }
 
 func runDiff(args []string, stdout, stderr io.Writer) int {

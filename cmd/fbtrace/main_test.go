@@ -8,7 +8,10 @@ import (
 	"testing"
 	"time"
 
+	"fbcache/internal/bundle"
 	"fbcache/internal/obs/span"
+	"fbcache/internal/trace"
+	"fbcache/internal/workload"
 )
 
 const golden = "../../internal/simulate/testdata/golden_trace.jsonl"
@@ -29,11 +32,11 @@ func TestUsageAndHelp(t *testing.T) {
 		t.Errorf("unknown command: code %d, stderr %q", code, stderr)
 	}
 	code, stdout, _ := exec(t, "help")
-	if code != 0 || !strings.Contains(stdout, "traceinfo") {
-		t.Errorf("help: code %d; usage must cross-reference traceinfo, got %q", code, stdout)
+	if code != 0 || !strings.Contains(stdout, "workload") {
+		t.Errorf("help: code %d; usage must list the workload command, got %q", code, stdout)
 	}
 	// Each subcommand rejects a missing positional argument.
-	for _, sub := range []string{"summary", "validate", "critical-path", "diff", "spans"} {
+	for _, sub := range []string{"summary", "validate", "critical-path", "diff", "spans", "workload"} {
 		if code, _, _ := exec(t, sub); code != 2 {
 			t.Errorf("%s with no file: code %d, want 2", sub, code)
 		}
@@ -187,5 +190,61 @@ func TestLenientSkipsGarbage(t *testing.T) {
 	}
 	if !strings.Contains(stderr, "skipped 1") || !strings.Contains(stdout, "no invariant violations") {
 		t.Errorf("lenient output:\nstdout %s\nstderr %s", stdout, stderr)
+	}
+}
+
+// tinyWorkloadTrace writes a small generated workload to disk and returns
+// its path.
+func tinyWorkloadTrace(t *testing.T) string {
+	t.Helper()
+	w, err := workload.Generate(workload.Spec{
+		Seed:           3,
+		CacheSize:      64 * bundle.MB,
+		NumFiles:       6,
+		MinFileSize:    bundle.MB,
+		MaxFilePct:     0.2,
+		NumRequests:    5,
+		MaxBundleFiles: 3,
+		MaxBundleFrac:  0.5,
+		Popularity:     workload.Uniform,
+		Jobs:           20,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "tiny.trace.json")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if err := trace.WriteJSON(f, w); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+func TestWorkloadDescribesTrace(t *testing.T) {
+	path := tinyWorkloadTrace(t)
+	code, stdout, stderr := exec(t, "workload", path)
+	if code != 0 {
+		t.Fatalf("workload = %d, stderr: %s", code, stderr)
+	}
+	for _, want := range []string{"trace: " + path, "files", "jobs"} {
+		if !strings.Contains(stdout, want) {
+			t.Errorf("output missing %q:\n%s", want, stdout)
+		}
+	}
+}
+
+func TestWorkloadUsageAndErrors(t *testing.T) {
+	if code, _, stderr := exec(t, "workload"); code != 2 || !strings.Contains(stderr, "usage: fbtrace workload") {
+		t.Errorf("no args: code %d, stderr %q", code, stderr)
+	}
+	if code, _, _ := exec(t, "workload", "does-not-exist.trace.json"); code != 1 {
+		t.Errorf("missing file: code %d, want 1", code)
+	}
+	if code, _, _ := exec(t, "workload", "-no-such-flag"); code != 2 {
+		t.Errorf("bad flag: code %d, want 2", code)
 	}
 }

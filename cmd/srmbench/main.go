@@ -17,33 +17,19 @@
 //	srmbench -degraded
 //	srmbench -degraded -jobs 500 -seed 7 -csv
 //	srmbench -replication
-//
-// With -latency it reports the closed-loop run in `go test -bench` text
-// format instead of the human summary, so benchjson can ingest the
-// client-observed stage+release quantiles (make bench-srm writes
-// BENCH_srm_latency.json). -self serves an in-process SRM (with the span
-// flight recorder attached, so the measured path is the instrumented one)
-// on a loopback port first, so the latency gate needs no external srmd:
-//
-//	srmbench -self -latency -clients 4 -jobs 50 | benchjson -require SRMStage
 package main
 
 import (
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"sort"
 	"sync"
 	"time"
 
 	"fbcache/internal/bundle"
-	"fbcache/internal/core"
 	"fbcache/internal/experiment"
-	"fbcache/internal/history"
 	"fbcache/internal/obs"
-	"fbcache/internal/obs/span"
-	"fbcache/internal/policy"
 	"fbcache/internal/srm"
 	"fbcache/internal/stats"
 	"fbcache/internal/workload"
@@ -64,8 +50,6 @@ func main() {
 		replSweep  = flag.Bool("replication", false, "run the replication-budget recovery experiment instead of benching a server")
 		csv        = flag.Bool("csv", false, "with -degraded/-replication: emit CSV instead of the aligned table")
 		traceOut   = flag.String("trace-out", "", "write a JSONL event trace: simulator events with -degraded/-replication, client-observed job records otherwise")
-		latency    = flag.Bool("latency", false, "emit go-bench result lines (p50/p99 ns/op, req/s) for benchjson instead of the summary")
-		self       = flag.Bool("self", false, "bench an in-process SRM server on a loopback port instead of -addr")
 	)
 	flag.Parse()
 
@@ -114,47 +98,11 @@ func main() {
 		fail(err)
 	}
 
-	target := *addr
-	if *self {
-		server, stop, err := selfServe(*cacheGB)
-		if err != nil {
-			fail(err)
-		}
-		defer stop()
-		target = server.Addr()
-	}
-
-	sum, err := runBench(target, w, *clients, *jobs, *retries, tracer)
+	sum, err := runBench(*addr, w, *clients, *jobs, *retries, tracer)
 	if err != nil {
 		fail(err)
 	}
-	if *latency {
-		if err := sum.printBench(os.Stdout); err != nil {
-			fail(err)
-		}
-		return
-	}
 	sum.print(os.Stdout)
-}
-
-// selfServe boots an in-process SRM server on a loopback port, with the
-// span flight recorder attached so the benched serving path carries the
-// same telemetry overhead a production srmd does.
-func selfServe(cacheGB float64) (*srm.Server, func(), error) {
-	cat := bundle.NewCatalog()
-	pol := policy.WrapOptFileBundle(core.New(
-		bundle.Size(cacheGB*float64(bundle.GB)), cat.SizeFunc(),
-		core.Options{History: history.Config{Truncation: history.CacheResident}},
-	))
-	service := srm.New(pol, cat).WithSpans(span.New(span.Options{}))
-	server, err := srm.Serve(service, "127.0.0.1:0")
-	if err != nil {
-		return nil, nil, err
-	}
-	return server, func() {
-		_ = server.Close() // benchmark exit; leases are gone with the clients
-		service.Close()
-	}, nil
 }
 
 // runExperiment runs one of the serverless fault experiments — the
@@ -279,24 +227,6 @@ func runBench(addr string, w *workload.Workload, clients, jobsPerClient, stageAt
 	sum.serverSnap = snap
 	sort.Float64s(sum.latencies)
 	return sum, nil
-}
-
-// printBench renders the run as `go test -bench` result lines — the format
-// benchjson parses — so the closed-loop latency quantiles land in the same
-// trajectory files as the microbenchmarks. The synthetic benchmark names
-// carry the quantile; iterations are the successful operations measured.
-func (s *benchSummary) printBench(out io.Writer) error {
-	if len(s.latencies) == 0 {
-		return fmt.Errorf("latency mode: no successful operations (%d errors)", s.errors)
-	}
-	n := len(s.latencies)
-	fmt.Fprintln(out, "pkg: fbcache/cmd/srmbench")
-	fmt.Fprintf(out, "BenchmarkSRMStageP50 \t%d\t%.1f ns/op\n", n, 1e9*stats.Quantile(s.latencies, 0.5))
-	fmt.Fprintf(out, "BenchmarkSRMStageP99 \t%d\t%.1f ns/op\n", n, 1e9*stats.Quantile(s.latencies, 0.99))
-	fmt.Fprintf(out, "BenchmarkSRMThroughput \t%d\t%.1f ns/op\t%.1f req/s\n",
-		s.ops, float64(s.elapsed.Nanoseconds())/float64(s.ops),
-		float64(s.ops)/s.elapsed.Seconds())
-	return nil
 }
 
 func (s *benchSummary) print(out *os.File) {

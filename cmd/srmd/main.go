@@ -54,7 +54,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	var (
 		listen    = fs.String("listen", "", "serve on this address (e.g. :7070)")
-		httpAddr  = fs.String("http", "", "also serve monitoring stats over HTTP on this address")
 		debugAddr = fs.String("debug-addr", "", "serve /metrics, /debug/vars and /debug/pprof on this address")
 		cacheGB   = fs.Float64("cache-gb", 10, "cache size in GB (server)")
 		drain     = fs.Duration("drain", 5*time.Second, "graceful-shutdown drain deadline for in-flight connections (server)")
@@ -72,7 +71,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	switch {
 	case *listen != "":
-		return runServer(*listen, *httpAddr, *debugAddr, *cacheGB, *drain, *flightOut, *slow, stdout, stderr)
+		return runServer(*listen, *debugAddr, *cacheGB, *drain, *flightOut, *slow, stdout, stderr)
 	case *connect != "":
 		return runClient(*connect, *addfile, *stage, *release, *stats, stdout, stderr)
 	default:
@@ -85,7 +84,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 // delivering a real signal to the test process.
 var testStop chan struct{}
 
-func runServer(addr, httpAddr, debugAddr string, cacheGB float64, drain time.Duration, flightOut string, slow time.Duration, stdout, stderr io.Writer) int {
+func runServer(addr, debugAddr string, cacheGB float64, drain time.Duration, flightOut string, slow time.Duration, stdout, stderr io.Writer) int {
 	cat := bundle.NewCatalog()
 	pol := policy.WrapOptFileBundle(core.New(
 		bundle.Size(cacheGB*float64(bundle.GB)), cat.SizeFunc(),
@@ -113,14 +112,6 @@ func runServer(addr, httpAddr, debugAddr string, cacheGB float64, drain time.Dur
 	// Shutdown flushes the recorder's buffered dump after the drain window.
 	server.CloseOnShutdown(rec)
 	fmt.Fprintf(stdout, "srmd: serving OptFileBundle cache (%.1f GB) on %s\n", cacheGB, server.Addr())
-	if httpAddr != "" {
-		go func() {
-			fmt.Fprintf(stdout, "srmd: monitoring stats on http://%s/stats\n", httpAddr)
-			if err := http.ListenAndServe(httpAddr, srm.StatsHandler(service)); err != nil {
-				fmt.Fprintf(stderr, "srmd: http: %v\n", err)
-			}
-		}()
-	}
 	if debugAddr != "" {
 		// Listen synchronously so ":0" resolves to a concrete port that can
 		// be announced (the smoke test scrapes it), then serve in background.

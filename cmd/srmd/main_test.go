@@ -47,6 +47,7 @@ func TestRunModeAndFlagErrors(t *testing.T) {
 	}{
 		{"no mode", nil, 2},
 		{"unknown flag", []string{"-no-such-flag"}, 2},
+		{"no second HTTP listener", []string{"-listen", "127.0.0.1:0", "-http", "127.0.0.1:0"}, 2},
 		{"client without command", []string{"-connect", "127.0.0.1:1"}, 1}, // dial fails first
 	}
 	for _, tc := range cases {

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"strings"
 	"testing"
+	"time"
 
 	"fbcache/internal/bundle"
 )
@@ -59,6 +60,47 @@ func TestRegistryExposesLiveState(t *testing.T) {
 	}
 	if m, _ := reg.Snapshot().Get("fbcache_resilience_retries_total"); m.Value != 2 {
 		t.Errorf("fbcache_resilience_retries_total = %g, want 2", m.Value)
+	}
+}
+
+// TestWaitingJobsVisible blocks one Stage behind pinned capacity: the
+// snapshot and the fbcache_jobs_waiting gauge (the /metrics and /debug/vars
+// view of it) read 1 while it waits and 0 once the release unblocks it.
+func TestWaitingJobsVisible(t *testing.T) {
+	s, _ := newTestSRM(100, 60, 60)
+	reg := NewRegistry(s)
+	waiting := func() (int, float64) {
+		m, _ := reg.Snapshot().Get("fbcache_jobs_waiting")
+		return s.Stats().WaitingJobs, m.Value
+	}
+	rel, _, err := s.Stage(bundle.New(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan struct{})
+	go func() {
+		rel2, _, err := s.Stage(bundle.New(1))
+		if err == nil {
+			rel2()
+		}
+		close(done)
+	}()
+	deadline := time.Now().Add(2 * time.Second)
+	sawWaiting := false
+	for time.Now().Before(deadline) {
+		if n, g := waiting(); n == 1 && g == 1 {
+			sawWaiting = true
+			break
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	if !sawWaiting {
+		t.Error("WaitingJobs and fbcache_jobs_waiting never reported the blocked stager")
+	}
+	rel()
+	<-done
+	if n, g := waiting(); n != 0 || g != 0 {
+		t.Errorf("after unblock: WaitingJobs = %d, fbcache_jobs_waiting = %g", n, g)
 	}
 }
 

@@ -228,39 +228,6 @@ func TestStageWithTTLEarlyReleaseCancelsTimer(t *testing.T) {
 	}
 }
 
-func TestWaitingJobsVisible(t *testing.T) {
-	s, _ := newTestSRM(100, 60, 60)
-	rel, _, err := s.Stage(bundle.New(0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	done := make(chan struct{})
-	go func() {
-		rel2, _, err := s.Stage(bundle.New(1))
-		if err == nil {
-			rel2()
-		}
-		close(done)
-	}()
-	deadline := time.Now().Add(2 * time.Second)
-	sawWaiting := false
-	for time.Now().Before(deadline) {
-		if s.Stats().WaitingJobs == 1 {
-			sawWaiting = true
-			break
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-	if !sawWaiting {
-		t.Error("WaitingJobs never reported the blocked stager")
-	}
-	rel()
-	<-done
-	if st := s.Stats(); st.WaitingJobs != 0 {
-		t.Errorf("WaitingJobs = %d after unblock", st.WaitingJobs)
-	}
-}
-
 func TestWithStoreMirrorsResidency(t *testing.T) {
 	// A tiny cache (2 unit files) over a real on-disk store: staged files
 	// exist and verify; evicted files disappear from disk.
