@@ -84,10 +84,14 @@ bench-guard:
 
 # CORE_BENCH runs the core/landlord/simulate benchmarks and pipes them into
 # benchjson, requiring every expected benchmark; bench-json, bench-require
-# and bench-compare append only their output flags.
-CORE_BENCH = $(GO) test -run '^$$' -bench 'OptCacheSelect|BenchmarkLandlord|RunEvents|Run(OptFileBundle|Landlord)1000' \
-		-benchmem -benchtime=100x ./internal/core/ ./internal/policy/landlord/ ./internal/simulate/ \
-	| $(GO) run ./cmd/benchjson -require OptCacheSelect -require Landlord \
+# and bench-compare append only their output flags. BenchmarkAdmit covers
+# both history truncations, so the 0-allocs steady state is gated in the
+# cache-resident configuration srmd serves with too. -cpu 1 keeps benchmark
+# names free of the -GOMAXPROCS suffix, so live runs match the baseline's
+# names on any host.
+CORE_BENCH = $(GO) test -run '^$$' -bench 'OptCacheSelect|BenchmarkAdmit$$|BenchmarkLandlord|RunEvents|Run(OptFileBundle|Landlord)1000' \
+		-benchmem -benchtime=100x -cpu 1 ./internal/core/ ./internal/policy/landlord/ ./internal/simulate/ \
+	| $(GO) run ./cmd/benchjson -require OptCacheSelect -require BenchmarkAdmit/ -require Landlord \
 		-require RunEvents -require RunOptFileBundle1000
 
 # bench-json runs the core/landlord/simulate benchmarks and converts the
@@ -125,7 +129,7 @@ bench-compare:
 # so its cost curve is gated like the core select loops.
 bench-json-replicate:
 	$(GO) test -run '^$$' -bench 'BenchmarkPlan|BenchmarkPredictorObserve|BenchmarkReplan' \
-		-benchmem -benchtime=100x ./internal/replicate/ \
+		-benchmem -benchtime=100x -cpu 1 ./internal/replicate/ \
 		| $(GO) run ./cmd/benchjson -require Plan -require PredictorObserve -require Replan -out BENCH_replicate.json
 	@echo wrote BENCH_replicate.json
 
@@ -133,7 +137,7 @@ bench-json-replicate:
 # BENCH_replicate.json under the same thresholds as bench-require.
 bench-require-replicate:
 	$(GO) test -run '^$$' -bench 'BenchmarkPlan|BenchmarkPredictorObserve|BenchmarkReplan' \
-		-benchmem -benchtime=100x ./internal/replicate/ \
+		-benchmem -benchtime=100x -cpu 1 ./internal/replicate/ \
 		| $(GO) run ./cmd/benchjson -require Plan -require PredictorObserve -require Replan \
 			-baseline BENCH_replicate.json -max-ns-ratio $(NSRATIO) -max-alloc-ratio 1.01 -out /dev/null
 

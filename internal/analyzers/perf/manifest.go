@@ -46,6 +46,7 @@ var manifest = map[string][]Contract{
 		{Func: "(*Cache).Contains", Directives: []string{"noescape", "inline"}},
 		{Func: "(*Cache).SizeOf", Directives: []string{"noescape", "inline"}},
 		{Func: "(*Cache).Supports", Directives: []string{"noescape", "inline", "nobce"}},
+		{Func: "(*Cache).SupportsExcept", Directives: []string{"noescape", "inline", "nobce"}},
 		{Func: "(*Cache).Pinned", Directives: []string{"noescape", "inline"}},
 	},
 	// Landlord's credit read is on the ranking path of every admission.

@@ -128,6 +128,31 @@ func (c *Cache) Supports(b bundle.Bundle) bool {
 	return true
 }
 
+// SupportsExcept reports whether every file of b that is not in except is
+// resident: exactly Supports(b.Minus(except)), by one merge walk over the
+// two sorted bundles instead of building the difference. It is the
+// per-history-entry filter of cache-resident selection (§5.3), so it runs
+// once per entry on every miss and must not allocate.
+//
+//fbvet:inline
+//fbvet:noescape
+//fbvet:nobce
+func (c *Cache) SupportsExcept(b, except bundle.Bundle) bool {
+	sz := c.size
+	for _, f := range b {
+		for len(except) > 0 && except[0] < f {
+			except = except[1:]
+		}
+		if len(except) > 0 && except[0] == f {
+			continue
+		}
+		if i := int(f); uint(i) >= uint(len(sz)) || sz[i] < 0 {
+			return false
+		}
+	}
+	return true
+}
+
 // Missing returns the files of b that are not resident.
 func (c *Cache) Missing(b bundle.Bundle) bundle.Bundle {
 	return c.MissingAppend(nil, b)

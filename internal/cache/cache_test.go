@@ -241,3 +241,32 @@ func BenchmarkSupports(b *testing.B) {
 		_ = c.Supports(q)
 	}
 }
+
+// FuzzSupportsExcept cross-checks the merge-walk residency test against its
+// definition: SupportsExcept(b, x) must equal Supports(b.Minus(x)) for any
+// residency. Resident files are drawn from IDs 0–31 and b and x from 0–47,
+// so some probes fall past the end of the dense residency table. The
+// checked-in corpus (testdata/fuzz/FuzzSupportsExcept) pins the edge cases:
+// empty b and x, disjoint bundles, b ⊆ x, and IDs past the table.
+func FuzzSupportsExcept(f *testing.F) {
+	f.Fuzz(func(t *testing.T, rawRes, rawB, rawX []byte) {
+		c := New(1 << 20)
+		for _, r := range rawRes {
+			if err := c.Insert(bundle.FileID(r%32), 1); err != nil {
+				t.Fatal(err)
+			}
+		}
+		mk := func(raw []byte) bundle.Bundle {
+			ids := make([]bundle.FileID, len(raw))
+			for i, r := range raw {
+				ids[i] = bundle.FileID(r % 48)
+			}
+			return bundle.New(ids...)
+		}
+		b, x := mk(rawB), mk(rawX)
+		if got, want := c.SupportsExcept(b, x), c.Supports(b.Minus(x)); got != want {
+			t.Fatalf("resident %v: SupportsExcept(%v, %v) = %v, Supports(Minus) = %v",
+				c.Resident(), b, x, got, want)
+		}
+	})
+}

@@ -352,7 +352,7 @@ func (p *OptFileBundle) runSelection(b bundle.Bundle) Selection {
 		// Degrees and values still come from the global history.
 		filtered := entries[:0]
 		for _, e := range entries {
-			if p.cache.Supports(e.Bundle.Minus(b)) {
+			if p.cache.SupportsExcept(e.Bundle, b) {
 				filtered = append(filtered, e)
 			}
 		}

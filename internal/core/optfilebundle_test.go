@@ -7,6 +7,7 @@ import (
 
 	"fbcache/internal/bundle"
 	"fbcache/internal/history"
+	"fbcache/internal/workload"
 )
 
 func unitSize(bundle.FileID) bundle.Size { return 1 }
@@ -270,6 +271,40 @@ func BenchmarkAdmitWindowHistory(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		p.Admit(bundles[i%len(bundles)])
 	}
+}
+
+// BenchmarkAdmit measures one OptFileBundle.Admit on the paper's
+// DefaultSpec workload under both history truncations: /full is the
+// simulators' configuration and /cache-resident the §5.3 configuration
+// srmd serves with. Like BenchmarkOptCacheSelect it first warms the policy
+// with every pool request and a stretch of the job sequence, so history
+// holds every entry and the scratch buffers have grown; the timed loop is
+// the steady state, which must be 0 allocs/op for both (DESIGN.md §13.3).
+func BenchmarkAdmit(b *testing.B) {
+	w, err := workload.Generate(workload.DefaultSpec())
+	if err != nil {
+		b.Fatal(err)
+	}
+	run := func(b *testing.B, opts Options) {
+		p := New(w.Spec.CacheSize, w.Catalog.SizeFunc(), opts)
+		for _, r := range w.Requests {
+			p.Admit(r)
+		}
+		const warm = 2000
+		for _, j := range w.Jobs[:warm] {
+			p.Admit(w.Requests[j])
+		}
+		jobs := w.Jobs[warm:]
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			p.Admit(w.Requests[jobs[i%len(jobs)]])
+		}
+	}
+	b.Run("full", func(b *testing.B) { run(b, Options{}) })
+	b.Run("cache-resident", func(b *testing.B) {
+		run(b, Options{History: history.Config{Truncation: history.CacheResident}})
+	})
 }
 
 func TestAdmitEmptyBundleIsHit(t *testing.T) {

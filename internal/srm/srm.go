@@ -50,6 +50,9 @@ type SRM struct {
 	col         metrics.Collector  //fbvet:guardedby mu
 	res         metrics.Resilience //fbvet:guardedby mu
 	store       *store.Store       //fbvet:guardedby mu — optional; see WithStore
+	// unsynced holds files a failed store sync left resident in the
+	// policy without staging them; see syncStore.
+	unsynced map[bundle.FileID]bool //fbvet:guardedby mu
 
 	// reqBytes records the requested size of every Stage call (including
 	// unserviceable ones). The histogram is atomic internally, so it is
@@ -80,6 +83,7 @@ func New(pol policy.Policy, cat *bundle.Catalog) *SRM {
 	}
 	s := &SRM{
 		pol: pol, cat: cat, sizeOf: cat.SizeFunc(), storeAttempts: 3,
+		unsynced: make(map[bundle.FileID]bool),
 		// 1 MB .. 32 GB in powers of two; larger requests land in +Inf.
 		reqBytes: obs.NewHistogram(obs.ExpBuckets(float64(bundle.MB), 2, 16)),
 	}
@@ -218,18 +222,18 @@ func (s *SRM) StageCtx(ctx span.Context, b bundle.Bundle) (Release, policy.Resul
 		return nil, res, ErrTooLarge
 	}
 	adm.Finish(span.ErrNone)
+	// Pin what is actually resident: with a pass-through (bypass) caching
+	// policy some files of b are deliberately never cached, so only the
+	// cacheable part is pinned.
+	pinnable := b.Minus(s.pol.Cache().Missing(b))
 	if s.store != nil {
 		st := s.rec.StartChild(ctx, span.OpStageStore)
-		if err := s.syncStore(res); err != nil {
+		if err := s.syncStore(res, pinnable); err != nil {
 			st.Finish(span.ErrStore)
 			return nil, res, err
 		}
 		st.Finish(span.ErrNone)
 	}
-	// Pin what is actually resident: with a pass-through (bypass) caching
-	// policy some files of b are deliberately never cached, so only the
-	// cacheable part is pinned.
-	pinnable := b.Minus(s.pol.Cache().Missing(b))
 	if err := s.pol.Cache().PinBundle(pinnable); err != nil {
 		return nil, res, fmt.Errorf("srm: pin: %w", err)
 	}

@@ -284,6 +284,57 @@ func TestWithStoreMirrorsResidency(t *testing.T) {
 	}
 }
 
+// TestStageRepairsStoreAfterFailedSync: a Stage whose store sync fails has
+// already admitted its files, so they stay resident in the policy but are
+// absent on disk. The next Stage of the same bundle is a policy hit; it must
+// still stage those files before returning, so OpenStaged reads every one.
+func TestStageRepairsStoreAfterFailedSync(t *testing.T) {
+	cat := bundle.NewCatalog()
+	for i := 0; i < 3; i++ {
+		cat.AddAnonymous(1)
+	}
+	pol := policy.WrapOptFileBundle(core.New(3, cat.SizeFunc(), core.Options{}))
+	fetches := 0
+	st, err := store.New(t.TempDir(), store.FetchFunc(func(f bundle.FileID) (io.ReadCloser, error) {
+		fetches++
+		if fetches == 1 {
+			return nil, errors.New("source unreachable")
+		}
+		return io.NopCloser(strings.NewReader(fmt.Sprintf("payload-%d", f))), nil
+	}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := New(pol, cat).WithStore(st).WithStoreRetries(1)
+	b := bundle.New(0, 1, 2)
+
+	if _, _, err := s.Stage(b); err == nil {
+		t.Fatal("stage #1 succeeded although the first fetch failed")
+	}
+	if got := s.Stats(); got.ActiveJobs != 0 || got.PinnedBytes != 0 {
+		t.Fatalf("failed stage left pins: %+v", got)
+	}
+	rel, res, err := s.Stage(b)
+	if err != nil {
+		t.Fatalf("stage #2: %v", err)
+	}
+	defer rel()
+	if !res.Hit {
+		t.Errorf("stage #2 = %+v, want a policy hit", res)
+	}
+	for _, f := range b {
+		rc, err := s.OpenStaged(f)
+		if err != nil {
+			t.Fatalf("OpenStaged(%d): %v", f, err)
+		}
+		data, err := io.ReadAll(rc)
+		rc.Close()
+		if err != nil || string(data) != fmt.Sprintf("payload-%d", f) {
+			t.Errorf("file %d: content %q, err %v", f, data, err)
+		}
+	}
+}
+
 func TestOpenStagedWithoutStore(t *testing.T) {
 	s, _ := newTestSRM(10, 1)
 	if _, err := s.OpenStaged(0); err == nil {

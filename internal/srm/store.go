@@ -22,27 +22,58 @@ func (s *SRM) WithStore(st *store.Store) *SRM {
 	return s
 }
 
-// syncStore applies one admission's movements to the attached store. Each
-// operation gets storeAttempts bounded tries — transient filesystem errors
-// (NFS hiccups, contended directories) are retried, persistent ones surface.
-// Called with s.mu held.
-func (s *SRM) syncStore(res policy.Result) error {
+// syncStore applies one admission's movements to the attached store, then
+// repairs pinned, the resident part of the bundle about to be pinned: any of
+// its files that an earlier failed sync left resident in the policy but
+// unstaged is staged now, so a successful Stage never hands out a file
+// OpenStaged cannot read (DESIGN.md §8). Each operation gets storeAttempts
+// bounded tries — transient filesystem errors (NFS hiccups, contended
+// directories) are retried, persistent ones surface. Called with s.mu held.
+func (s *SRM) syncStore(res policy.Result, pinned bundle.Bundle) error {
 	if s.store == nil {
 		return nil
 	}
 	for _, f := range res.Evicted {
-		f := f
 		if err := s.retryStore(func() error { return s.store.Remove(f) }); err != nil {
+			s.markUnsynced(res.Loaded)
 			return fmt.Errorf("srm: store evict %d: %w", f, err)
 		}
+		delete(s.unsynced, f)
 	}
 	for _, f := range res.Loaded {
-		f := f
-		if err := s.retryStore(func() error { _, _, err := s.store.Stage(f); return err }); err != nil {
-			return fmt.Errorf("srm: store load %d: %w", f, err)
+		if err := s.stageFile(f); err != nil {
+			s.markUnsynced(res.Loaded)
+			return err
+		}
+	}
+	if len(s.unsynced) > 0 {
+		for _, f := range pinned {
+			if !s.unsynced[f] {
+				continue
+			}
+			if err := s.stageFile(f); err != nil {
+				return err
+			}
+			delete(s.unsynced, f)
 		}
 	}
 	return nil
+}
+
+// stageFile materializes f in the store. Called with s.mu held.
+func (s *SRM) stageFile(f bundle.FileID) error {
+	if err := s.retryStore(func() error { _, _, err := s.store.Stage(f); return err }); err != nil {
+		return fmt.Errorf("srm: store load %d: %w", f, err)
+	}
+	return nil
+}
+
+// markUnsynced records files the policy admitted whose sync failed; the
+// next Stage that pins one of them stages it first. Called with s.mu held.
+func (s *SRM) markUnsynced(files bundle.Bundle) {
+	for _, f := range files {
+		s.unsynced[f] = true
+	}
 }
 
 // retryStore runs op up to storeAttempts times, counting each repeat in the
