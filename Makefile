@@ -168,9 +168,17 @@ fuzz:
 # soak replays the fault-injection scenarios with invariants armed: the
 # multi-policy fault soak, the churn+correlated generated-scenario soak with
 # the epoch re-planner running, and the determinism and bit-identity gates
-# for the resilience and replication layers.
+# for the resilience and replication layers. It first checks with
+# `go test -list` that every test named in SOAK_RUN exists, so a renamed or
+# deleted soak test fails the target instead of silently dropping out of
+# the -run filter.
+SOAK_RUN = TestFaultSoak|TestFaultSoakChurnCorrelated|TestFaultsDeterministic|TestFaultsZeroScenarioBitIdentical|TestReplicationDeterministic|TestReplicationZeroBudgetBitIdentical
 soak:
-	$(GO) test -tags fbinvariant ./internal/simulate/ -run 'TestFaultSoak|TestFaultSoakChurnCorrelated|TestFaultsDeterministic|TestFaultsZeroScenarioBitIdentical|TestReplicationDeterministic|TestReplicationZeroBudgetBitIdentical' -v
+	@listed=$$($(GO) test -tags fbinvariant -list . ./internal/simulate/) || exit 1; \
+	for t in $(subst |, ,$(SOAK_RUN)); do \
+		printf '%s\n' "$$listed" | grep -qx "$$t" || { echo "soak: no test $$t in ./internal/simulate" >&2; exit 1; }; \
+	done
+	$(GO) test -tags fbinvariant ./internal/simulate/ -run '$(SOAK_RUN)' -v
 
 clean:
 	$(GO) clean ./...

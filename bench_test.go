@@ -195,7 +195,9 @@ func benchPolicyRun(b *testing.B, mk func(w *Workload) Policy) {
 	}
 }
 
-// Ablation: the paper's Note (resort) greedy vs the literal Algorithm 1.
+// Ablation baseline: the default policy, which always runs the paper's Note
+// (resort) greedy. The literal Algorithm 1 is not offered by the policy; it
+// runs only through core.Select in the Theorem 4.1 bound tests.
 func BenchmarkAblationResortGreedy(b *testing.B) {
 	benchPolicyRun(b, func(w *Workload) Policy {
 		return NewCache(w.Spec.CacheSize, w.Catalog.SizeFunc())

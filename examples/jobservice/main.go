@@ -30,15 +30,20 @@ func main() {
 	inner := fbcache.NewCache(12*fbcache.MB, cat.SizeFunc())
 	guarded := fbcache.NewBypassPolicy(inner, cat.SizeFunc(), 0.5)
 
-	// Real bytes: a source that synthesizes content per file.
+	// Real bytes: a source that synthesizes content per file, exactly as
+	// long as the catalog says (the SRM rejects a file of any other length).
 	dir, err := os.MkdirTemp("", "fbcache-jobservice-*")
 	if err != nil {
 		fail(err)
 	}
 	defer os.RemoveAll(dir)
 	st, err := fbcache.NewStore(dir, fbcache.FetchFromFunc(func(f fbcache.FileID) (io.ReadCloser, error) {
-		payload := strings.Repeat(cat.Name(f)+"\n", 64)
-		return io.NopCloser(strings.NewReader(payload)), nil
+		line := cat.Name(f) + "\n"
+		var payload strings.Builder
+		for fbcache.Size(payload.Len()) < cat.Size(f) {
+			payload.WriteString(line)
+		}
+		return io.NopCloser(io.LimitReader(strings.NewReader(payload.String()), int64(cat.Size(f)))), nil
 	}))
 	if err != nil {
 		fail(err)

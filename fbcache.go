@@ -127,9 +127,9 @@ func WithSeededSelection(k int) Option {
 }
 
 // NewCache returns the paper's OptFileBundle replacement policy over a fresh
-// cache of the given capacity. By default it uses the practical "resort"
-// greedy with cache-resident history truncation; see the Options for the
-// literal variants. Policies returned by this package are not safe for
+// cache of the given capacity. It always runs the practical "resort" greedy,
+// by default over cache-resident history; see the Options for the literal
+// Algorithm 2 variants. Policies returned by this package are not safe for
 // concurrent use — wrap them in an SRM (NewSRM) to share across goroutines.
 func NewCache(capacity Size, sizeOf SizeFunc, opts ...Option) Policy {
 	o := core.Options{History: history.Config{Truncation: history.CacheResident}}

@@ -347,7 +347,7 @@ func (c *Cache) ResetCounters() {
 }
 
 // CheckInvariants verifies internal consistency (used == Σ sizes, pins only on
-// resident files, used ≤ capacity). Tests and the simulator's paranoid mode
+// resident files, used ≤ capacity). Tests and perfbench's end-of-run checks
 // call this; it returns a descriptive error on the first violation. The dense
 // tables walk in ascending FileID order, so the violation reported — and
 // therefore any test output built from it — is deterministic.

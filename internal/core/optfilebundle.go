@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"slices"
@@ -17,9 +18,6 @@ import (
 type Options struct {
 	// History configures the L(R) structure (truncation, limits).
 	History history.Config
-	// Resort enables the "Note" variant of OptCacheSelect (default in all
-	// constructors; the literal Algorithm 1 is used when false).
-	Resort bool
 	// Prefetch enables the literal Algorithm 2 Step 3: files of selected
 	// historical requests that are not resident are fetched eagerly
 	// (F(Opt) \ F(C)). When false (the default), the selection only decides
@@ -35,12 +33,6 @@ type Options struct {
 	// non-keep files leave only until enough space is free, lowest file
 	// degree first.
 	LiteralEvict bool
-	// DecayEvery, when > 0, ages the history every N admissions by
-	// multiplying all request values by DecayFactor (default 0.5), dropping
-	// entries below 0.01. The paper's counters never forget; aging lets a
-	// long-running cache follow workload drift.
-	DecayEvery  int
-	DecayFactor float64
 }
 
 // Result reports what one Admit call did.
@@ -108,22 +100,9 @@ type OptFileBundle struct {
 
 // New builds an OptFileBundle policy over a fresh cache of the given
 // capacity. sizeOf must report the size of every file that can be requested.
+// Selection always runs the paper's "Note" (resort) greedy; the literal
+// Algorithm 1 is reachable through Select with SelectOptions.Resort unset.
 func New(capacity bundle.Size, sizeOf bundle.SizeFunc, opts Options) *OptFileBundle {
-	if sizeOf == nil {
-		panic("core: nil SizeFunc")
-	}
-	opts.Resort = true // constructors default to the practical variant
-	return &OptFileBundle{
-		cache:  cache.New(capacity),
-		hist:   history.New(opts.History),
-		sizeOf: sizeOf,
-		opts:   opts,
-	}
-}
-
-// NewWithOptions is like New but honours opts.Resort as given, allowing the
-// literal Algorithm 1 greedy to be selected for ablation studies.
-func NewWithOptions(capacity bundle.Size, sizeOf bundle.SizeFunc, opts Options) *OptFileBundle {
 	if sizeOf == nil {
 		panic("core: nil SizeFunc")
 	}
@@ -139,9 +118,6 @@ func NewWithOptions(capacity bundle.Size, sizeOf bundle.SizeFunc, opts Options) 
 func (p *OptFileBundle) Name() string {
 	if p.opts.SeedK > 0 {
 		return fmt.Sprintf("optfilebundle-k%d", p.opts.SeedK)
-	}
-	if !p.opts.Resort {
-		return "optfilebundle-literal"
 	}
 	return "optfilebundle"
 }
@@ -159,7 +135,7 @@ func (p *OptFileBundle) SetTracer(t obs.Tracer) {
 }
 
 // emitAdmit publishes one AdmitEvent for res, stamped with the admission
-// ordinal (Admit bumps it via maybeDecay before returning).
+// ordinal (Admit bumps it before returning).
 func (p *OptFileBundle) emitAdmit(res Result, files int) {
 	p.tracer.Admit(obs.AdmitEvent{
 		At:             float64(p.admissions),
@@ -187,7 +163,7 @@ func (p *OptFileBundle) Admit(b bundle.Bundle) Result {
 	if res.BytesRequested > p.cache.Capacity() {
 		res.Unserviceable = true
 		p.hist.Observe(b) // the request still informs popularity
-		p.maybeDecay()
+		p.admissions++
 		if p.tracer != nil {
 			p.emitAdmit(res, len(b))
 		}
@@ -197,7 +173,7 @@ func (p *OptFileBundle) Admit(b bundle.Bundle) Result {
 	if p.cache.Supports(b) {
 		res.Hit = true
 		p.hist.Observe(b)
-		p.maybeDecay()
+		p.admissions++
 		if p.tracer != nil {
 			p.emitAdmit(res, len(b))
 		}
@@ -257,24 +233,11 @@ func (p *OptFileBundle) Admit(b bundle.Bundle) Result {
 
 	// Step 4: update L(R) after the replacement decision, as printed.
 	p.hist.Observe(b)
-	p.maybeDecay()
+	p.admissions++
 	if p.tracer != nil {
 		p.emitAdmit(res, len(b))
 	}
 	return res
-}
-
-// maybeDecay ages the history on the configured cadence.
-func (p *OptFileBundle) maybeDecay() {
-	p.admissions++
-	if p.opts.DecayEvery <= 0 || p.admissions%int64(p.opts.DecayEvery) != 0 {
-		return
-	}
-	factor := p.opts.DecayFactor
-	if factor <= 0 || factor > 1 {
-		factor = 0.5
-	}
-	p.hist.Decay(factor, 0.01)
 }
 
 // replace frees space for an incoming bundle b whose missing files need
@@ -365,8 +328,8 @@ func (p *OptFileBundle) runSelection(b bundle.Bundle) Selection {
 	p.candScratch = cands
 	opts := SelectOptions{
 		SizeOf:   p.sizeOf,
-		DegreeOf: p.hist.CandidateDegreeFunc(entries),
-		Resort:   p.opts.Resort,
+		DegreeOf: p.hist.DegreeFunc(),
+		Resort:   true,
 		Free:     b,
 	}
 	budget := p.cache.Capacity() - b.TotalSize(p.sizeOf)
@@ -377,7 +340,7 @@ func (p *OptFileBundle) runSelection(b bundle.Bundle) Selection {
 		sel = selectScratch(&p.selScratch, cands, budget, opts)
 	}
 	if p.tracer != nil {
-		// maybeDecay has not bumped the ordinal yet for this admission;
+		// Admit has not bumped the ordinal yet for this admission;
 		// +1 keeps the round and its AdmitEvent on the same stamp.
 		p.tracer.SelectRound(obs.SelectRoundEvent{
 			At:           float64(p.admissions + 1),
@@ -431,24 +394,7 @@ func (p *OptFileBundle) evictLazy(evictable bundle.Bundle, needed bundle.Size) {
 	if p.cache.Free() >= needed {
 		return
 	}
-	deg := p.hist.DegreeFunc()
-	// slices.SortFunc, not sort.Slice: the reflection-based swapper
-	// allocates per eviction round. The (degree, ID) key is a total order,
-	// so the sort's instability cannot introduce nondeterminism.
-	slices.SortFunc(evictable, func(a, b bundle.FileID) int {
-		da, db := deg(a), deg(b)
-		switch {
-		case da < db:
-			return -1
-		case da > db:
-			return 1
-		case a < b:
-			return -1
-		case a > b:
-			return 1
-		}
-		return 0
-	})
+	p.sortByDegree(evictable)
 	for _, f := range evictable {
 		if p.cache.Free() >= needed {
 			return
@@ -466,23 +412,7 @@ func (p *OptFileBundle) evictLazy(evictable bundle.Bundle, needed bundle.Size) {
 func (p *OptFileBundle) shedKeep(b bundle.Bundle, needed bundle.Size) {
 	p.residentScratch = p.cache.ResidentAppend(p.residentScratch[:0])
 	resident := p.residentScratch
-	deg := p.hist.DegreeFunc()
-	// The ID tie-break makes the (degree, ID) key a total order, so the
-	// shed sequence is deterministic even under equal degrees.
-	slices.SortFunc(resident, func(a, b bundle.FileID) int {
-		da, db := deg(a), deg(b)
-		switch {
-		case da < db:
-			return -1
-		case da > db:
-			return 1
-		case a < b:
-			return -1
-		case a > b:
-			return 1
-		}
-		return 0
-	})
+	p.sortByDegree(resident)
 	for _, f := range resident {
 		if p.cache.Free() >= needed {
 			return
@@ -495,4 +425,19 @@ func (p *OptFileBundle) shedKeep(b bundle.Bundle, needed bundle.Size) {
 			p.lastEvictedFiles = append(p.lastEvictedFiles, f)
 		}
 	}
+}
+
+// sortByDegree orders files by ascending (degree, ID), the eviction order of
+// evictLazy and shedKeep. slices.SortFunc, not sort.Slice: the
+// reflection-based swapper allocates per eviction round. The ID tie-break
+// makes the key a total order, so the sort's instability cannot introduce
+// nondeterminism.
+func (p *OptFileBundle) sortByDegree(files bundle.Bundle) {
+	deg := p.hist.DegreeFunc()
+	slices.SortFunc(files, func(a, b bundle.FileID) int {
+		if c := cmp.Compare(deg(a), deg(b)); c != 0 {
+			return c
+		}
+		return cmp.Compare(a, b)
+	})
 }

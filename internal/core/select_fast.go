@@ -420,11 +420,3 @@ func (s *resortState) run(cands []Candidate, capacity bundle.Size, opts SelectOp
 	}
 	return sel
 }
-
-// selectResortFast runs the incremental resort greedy with fresh scratch —
-// the entry point for one-shot callers; per-admission callers hold a
-// resortState and call run directly.
-func selectResortFast(cands []Candidate, capacity bundle.Size, opts SelectOptions, seeds []int) Selection {
-	var s resortState
-	return s.run(cands, capacity, opts, seeds)
-}

@@ -109,73 +109,11 @@ func TestCandidatesWindow(t *testing.T) {
 	if !keys[bundle.New(1).Key()] || !keys[bundle.New(3).Key()] {
 		t.Errorf("window kept wrong entries: %v", keys)
 	}
-}
-
-func TestCandidatesTopValue(t *testing.T) {
-	h := New(Config{Truncation: TopValue, Limit: 2})
-	for i := 0; i < 5; i++ {
-		h.Observe(bundle.New(1)) // value 5
-	}
-	for i := 0; i < 3; i++ {
-		h.Observe(bundle.New(2)) // value 3
-	}
-	h.Observe(bundle.New(3)) // value 1
-	cands := h.Candidates()
-	if len(cands) != 2 {
-		t.Fatalf("top-value returned %d", len(cands))
-	}
-	if cands[0].Value < cands[1].Value {
-		t.Error("top-value not sorted descending")
-	}
-	if cands[0].Bundle.Key() != bundle.New(1).Key() {
-		t.Errorf("top candidate = %v", cands[0].Bundle)
-	}
-}
-
-func TestLocalDegrees(t *testing.T) {
-	h := New(Config{Truncation: Window, Limit: 1, LocalDegrees: true})
+	// Truncation narrows the candidates only; degrees stay global (§5.2).
 	h.Observe(bundle.New(1, 2))
 	h.Observe(bundle.New(2, 3))
-	cands := h.Candidates() // only {2,3}
-	df := h.CandidateDegreeFunc(cands)
-	if df(2) != 1 {
-		t.Errorf("local degree(2) = %d, want 1", df(2))
-	}
-	// Global degrees still see both requests.
-	if h.Degree(2) != 2 {
-		t.Errorf("global degree(2) = %d, want 2", h.Degree(2))
-	}
-	// Without LocalDegrees the candidate degree func is global.
-	h2 := New(Config{Truncation: Window, Limit: 1})
-	h2.Observe(bundle.New(1, 2))
-	h2.Observe(bundle.New(2, 3))
-	df2 := h2.CandidateDegreeFunc(h2.Candidates())
-	if df2(2) != 2 {
-		t.Errorf("global candidate degree(2) = %d, want 2", df2(2))
-	}
-}
-
-func TestForget(t *testing.T) {
-	h := New(Config{})
-	h.Observe(bundle.New(1, 2))
-	h.Observe(bundle.New(2, 3))
-	if !h.Forget(bundle.New(1, 2)) {
-		t.Fatal("Forget returned false for existing entry")
-	}
-	if h.Forget(bundle.New(1, 2)) {
-		t.Error("Forget returned true for missing entry")
-	}
-	if h.Len() != 1 {
-		t.Errorf("Len = %d", h.Len())
-	}
-	if h.Degree(1) != 0 {
-		t.Errorf("Degree(1) = %d after forget", h.Degree(1))
-	}
-	if h.Degree(2) != 1 {
-		t.Errorf("Degree(2) = %d after forget", h.Degree(2))
-	}
-	if len(h.Candidates()) != 1 {
-		t.Errorf("Candidates = %d", len(h.Candidates()))
+	if df := h.DegreeFunc(); df(2) != 3 {
+		t.Errorf("degree(2) = %d under window truncation, want global 3", df(2))
 	}
 }
 
@@ -201,7 +139,7 @@ func TestLookup(t *testing.T) {
 
 func TestTruncationString(t *testing.T) {
 	for tr, want := range map[Truncation]string{
-		Full: "full", Window: "window", TopValue: "top-value", Truncation(9): "Truncation(9)",
+		Full: "full", Window: "window", CacheResident: "cache-resident", Truncation(9): "Truncation(9)",
 	} {
 		if got := tr.String(); got != want {
 			t.Errorf("String() = %q, want %q", got, want)
@@ -272,40 +210,5 @@ func BenchmarkObserve(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		h.Observe(bundles[i%len(bundles)])
-	}
-}
-
-func TestDecay(t *testing.T) {
-	h := New(Config{})
-	for i := 0; i < 8; i++ {
-		h.Observe(bundle.New(1, 2))
-	}
-	h.Observe(bundle.New(3))
-	h.Decay(0.5, 0.6) // {1,2} -> 4; {3} -> 0.5 < 0.6 -> forgotten
-	if e, ok := h.Lookup(bundle.New(1, 2)); !ok || e.Value != 4 {
-		t.Errorf("entry = %+v, %v", e, ok)
-	}
-	if _, ok := h.Lookup(bundle.New(3)); ok {
-		t.Error("low-value entry survived decay")
-	}
-	if h.Degree(3) != 0 {
-		t.Errorf("degree(3) = %d after forget", h.Degree(3))
-	}
-	if h.Degree(1) != 1 {
-		t.Errorf("degree(1) = %d", h.Degree(1))
-	}
-}
-
-func TestDecayPanicsOnBadFactor(t *testing.T) {
-	h := New(Config{})
-	for _, f := range []float64{0, -1, 1.5} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("factor %v did not panic", f)
-				}
-			}()
-			h.Decay(f, 0)
-		}()
 	}
 }

@@ -19,14 +19,15 @@ import (
 	"fbcache/internal/workload"
 )
 
+// processSeconds is the compute time of a job once its bundle is staged and
+// pinned.
+const processSeconds = 1.0
+
 // EventOptions configures the discrete-event simulation.
 type EventOptions struct {
 	// ArrivalRate is the mean job arrival rate (jobs/second); arrivals are
 	// Poisson. Must be positive.
 	ArrivalRate float64
-	// ProcessSeconds is the compute time of a job once its bundle is staged
-	// and pinned; nil means a fixed 1 second.
-	ProcessSeconds func(b bundle.Bundle) float64
 	// MSS describes the archive misses are fetched from. Ignored when Grid
 	// is set.
 	MSS mss.Config
@@ -575,10 +576,6 @@ func RunEvents(w *workload.Workload, p policy.Policy, opts EventOptions) (EventS
 	if opts.Slots <= 0 {
 		opts.Slots = 4
 	}
-	proc := opts.ProcessSeconds
-	if proc == nil {
-		proc = func(bundle.Bundle) float64 { return 1 }
-	}
 	var scenario faults.Scenario
 	if opts.Faults != nil {
 		scenario = *opts.Faults
@@ -839,7 +836,7 @@ func RunEvents(w *workload.Workload, p policy.Policy, opts EventOptions) (EventS
 			}
 			pinnedBytes += b.TotalSize(sizeOf)
 			slotsFree--
-			done := staged + proc(b)
+			done := staged + processSeconds
 			handle := nextHandle
 			nextHandle++
 			inFlight[handle] = running{

@@ -41,10 +41,6 @@ type HybridOptions struct {
 	BundleFraction float64
 	// Seed drives the per-job model assignment.
 	Seed int64
-	// MaxJobs truncates the workload when > 0.
-	MaxJobs int
-	// Paranoid verifies cache invariants after every admission.
-	Paranoid bool
 }
 
 // HybridStats reports a hybrid run, per service model and combined.
@@ -73,28 +69,13 @@ func RunHybrid(w *workload.Workload, p policy.Policy, opts HybridOptions) (*Hybr
 	rng := rand.New(rand.NewSource(opts.Seed))
 	st := &HybridStats{}
 
-	jobs := w.Jobs
-	if opts.MaxJobs > 0 && opts.MaxJobs < len(jobs) {
-		jobs = jobs[:opts.MaxJobs]
-	}
-
-	check := func() error {
-		if !opts.Paranoid {
-			return nil
-		}
-		return p.Cache().CheckInvariants()
-	}
-
-	for _, j := range jobs {
+	for _, j := range w.Jobs {
 		b := w.Requests[j]
 		if rng.Float64() < opts.BundleFraction {
 			res := p.Admit(b)
 			st.Bundle.Record(res)
 			st.Combined.Record(res)
 			st.BundleJobs++
-			if err := check(); err != nil {
-				return nil, err
-			}
 			continue
 		}
 		// One file at a time: fold the per-task results into one job-level
@@ -111,9 +92,6 @@ func RunHybrid(w *workload.Workload, p policy.Policy, opts HybridOptions) (*Hybr
 			jobRes.BytesLoaded += res.BytesLoaded
 			jobRes.FilesLoaded += res.FilesLoaded
 			jobRes.FilesEvicted += res.FilesEvicted
-			if err := check(); err != nil {
-				return nil, err
-			}
 		}
 		st.PerFile.Record(jobRes)
 		st.Combined.Record(jobRes)

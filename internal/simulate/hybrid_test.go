@@ -29,7 +29,7 @@ func TestRunHybridPureBundleMatchesRun(t *testing.T) {
 func TestRunHybridPurePerFile(t *testing.T) {
 	w := smallWorkload(t, workload.Zipf, 600)
 	p := optFactory()(w.Spec.CacheSize, w.Catalog.SizeFunc())
-	st, err := RunHybrid(w, p, HybridOptions{BundleFraction: 0, Seed: 5, Paranoid: true})
+	st, err := RunHybrid(w, checked(t, p), HybridOptions{BundleFraction: 0, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -33,14 +33,6 @@ type Options struct {
 	Scheduler queue.Scheduler
 	// SeriesInterval, if > 0, samples a time-series point every N jobs.
 	SeriesInterval int
-	// Paranoid verifies cache invariants after every admission (slow).
-	Paranoid bool
-	// MaxJobs truncates the workload's job list when > 0.
-	MaxJobs int
-	// Warmup excludes the first N jobs from the returned metrics (they
-	// still drive the cache), isolating steady-state behaviour from the
-	// compulsory-miss ramp.
-	Warmup int
 	// Tracer, when non-nil, receives a JobServedEvent per job (stamped with
 	// the job ordinal — the trace-driven simulator has no clock). Policy- and
 	// cache-level events are installed separately via SetTracer on the policy.
@@ -71,23 +63,11 @@ func Run(w *workload.Workload, p policy.Policy, opts Options) (*metrics.Collecto
 				BytesLoaded:    int64(res.BytesLoaded),
 			})
 		}
-		if served > opts.Warmup {
-			col.Record(res)
-		}
-		if opts.Paranoid {
-			if err := p.Cache().CheckInvariants(); err != nil {
-				panic(fmt.Sprintf("simulate: invariant violated after %d jobs: %v", served, err))
-			}
-		}
-	}
-
-	jobs := w.Jobs
-	if opts.MaxJobs > 0 && opts.MaxJobs < len(jobs) {
-		jobs = jobs[:opts.MaxJobs]
+		col.Record(res)
 	}
 
 	if opts.QueueLength <= 1 {
-		for _, j := range jobs {
+		for _, j := range w.Jobs {
 			serve(w.Requests[j])
 		}
 		return col, nil
@@ -98,7 +78,7 @@ func Run(w *workload.Workload, p policy.Policy, opts Options) (*metrics.Collecto
 		sched = queue.FCFS()
 	}
 	batcher := queue.NewBatcher(opts.QueueLength, sched, serve)
-	for _, j := range jobs {
+	for _, j := range w.Jobs {
 		batcher.Submit(w.Requests[j])
 	}
 	batcher.Flush()

@@ -37,7 +37,7 @@ func optFactory() policy.Factory {
 func TestRunBasics(t *testing.T) {
 	w := smallWorkload(t, workload.Uniform, 500)
 	p := optFactory()(w.Spec.CacheSize, w.Catalog.SizeFunc())
-	col, err := Run(w, p, Options{Paranoid: true})
+	col, err := Run(w, checked(t, p), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,18 +60,6 @@ func TestRunNilArgs(t *testing.T) {
 	}
 	if _, err := Run(w, nil, Options{}); err == nil {
 		t.Error("nil policy accepted")
-	}
-}
-
-func TestRunMaxJobs(t *testing.T) {
-	w := smallWorkload(t, workload.Uniform, 500)
-	p := optFactory()(w.Spec.CacheSize, w.Catalog.SizeFunc())
-	col, err := Run(w, p, Options{MaxJobs: 50})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if col.Jobs() != 50 {
-		t.Errorf("jobs = %d, want 50", col.Jobs())
 	}
 }
 
@@ -238,27 +226,6 @@ func BenchmarkRunLandlord1000(b *testing.B) {
 			b.Fatal(err)
 		}
 		benchSink = col
-	}
-}
-
-func TestWarmupExcludesRampFromMetrics(t *testing.T) {
-	w := smallWorkload(t, workload.Zipf, 2000)
-	run := func(warmup int) (float64, int64) {
-		p := optFactory()(w.Spec.CacheSize, w.Catalog.SizeFunc())
-		col, err := Run(w, p, Options{Warmup: warmup})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return col.ByteMissRatio(), col.Jobs()
-	}
-	cold, jobsCold := run(0)
-	warm, jobsWarm := run(500)
-	if jobsCold != 2000 || jobsWarm != 1500 {
-		t.Fatalf("jobs: cold=%d warm=%d", jobsCold, jobsWarm)
-	}
-	// The compulsory-miss ramp inflates the cold ratio.
-	if warm >= cold {
-		t.Errorf("steady-state miss %.4f not below cold-start %.4f", warm, cold)
 	}
 }
 

@@ -41,10 +41,8 @@ func TestSoakAllPoliciesAllModes(t *testing.T) {
 		"opt-cache-resident": policy.OptFileBundleFactory(core.Options{
 			History: history.Config{Truncation: history.CacheResident},
 		}),
-		"opt-window-decay": policy.OptFileBundleFactory(core.Options{
-			History:     history.Config{Truncation: history.Window, Limit: 48},
-			DecayEvery:  100,
-			DecayFactor: 0.7,
+		"opt-window": policy.OptFileBundleFactory(core.Options{
+			History: history.Config{Truncation: history.Window, Limit: 48},
 		}),
 		"opt-prefetch-literal": policy.OptFileBundleFactory(core.Options{
 			History:      history.Config{Truncation: history.CacheResident},
@@ -59,9 +57,9 @@ func TestSoakAllPoliciesAllModes(t *testing.T) {
 	for name, mk := range factories {
 		name, mk := name, mk
 		t.Run(name, func(t *testing.T) {
-			// Plain paranoid run.
+			// Plain run, invariants checked after every admission.
 			p := mk(spec.CacheSize, w.Catalog.SizeFunc())
-			col, err := Run(w, p, Options{Paranoid: true, Warmup: 100})
+			col, err := Run(w, checked(t, p), Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -71,7 +69,7 @@ func TestSoakAllPoliciesAllModes(t *testing.T) {
 
 			// Queued run.
 			p2 := mk(spec.CacheSize, w.Catalog.SizeFunc())
-			col2, err := Run(w, p2, Options{QueueLength: 20, Paranoid: true})
+			col2, err := Run(w, checked(t, p2), Options{QueueLength: 20})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -81,7 +79,7 @@ func TestSoakAllPoliciesAllModes(t *testing.T) {
 
 			// Hybrid run.
 			p3 := mk(spec.CacheSize, w.Catalog.SizeFunc())
-			st, err := RunHybrid(w, p3, HybridOptions{BundleFraction: 0.6, Seed: 5, Paranoid: true})
+			st, err := RunHybrid(w, checked(t, p3), HybridOptions{BundleFraction: 0.6, Seed: 5})
 			if err != nil {
 				t.Fatal(err)
 			}

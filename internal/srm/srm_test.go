@@ -229,13 +229,14 @@ func TestStageWithTTLEarlyReleaseCancelsTimer(t *testing.T) {
 }
 
 func TestWithStoreMirrorsResidency(t *testing.T) {
-	// A tiny cache (2 unit files) over a real on-disk store: staged files
-	// exist and verify; evicted files disappear from disk.
+	// A tiny cache (2 files of 9 bytes, the payload length) over a real
+	// on-disk store: staged files exist and verify; evicted files disappear
+	// from disk.
 	cat := bundle.NewCatalog()
 	for i := 0; i < 4; i++ {
-		cat.AddAnonymous(1)
+		cat.AddAnonymous(9)
 	}
-	pol := policy.WrapOptFileBundle(core.New(2, cat.SizeFunc(), core.Options{}))
+	pol := policy.WrapOptFileBundle(core.New(18, cat.SizeFunc(), core.Options{}))
 	st, err := store.New(t.TempDir(), store.FetchFunc(func(f bundle.FileID) (io.ReadCloser, error) {
 		return io.NopCloser(strings.NewReader(fmt.Sprintf("payload-%d", f))), nil
 	}))
@@ -291,9 +292,9 @@ func TestWithStoreMirrorsResidency(t *testing.T) {
 func TestStageRepairsStoreAfterFailedSync(t *testing.T) {
 	cat := bundle.NewCatalog()
 	for i := 0; i < 3; i++ {
-		cat.AddAnonymous(1)
+		cat.AddAnonymous(9) // len("payload-N")
 	}
-	pol := policy.WrapOptFileBundle(core.New(3, cat.SizeFunc(), core.Options{}))
+	pol := policy.WrapOptFileBundle(core.New(27, cat.SizeFunc(), core.Options{}))
 	fetches := 0
 	st, err := store.New(t.TempDir(), store.FetchFunc(func(f bundle.FileID) (io.ReadCloser, error) {
 		fetches++
@@ -332,6 +333,48 @@ func TestStageRepairsStoreAfterFailedSync(t *testing.T) {
 		if err != nil || string(data) != fmt.Sprintf("payload-%d", f) {
 			t.Errorf("file %d: content %q, err %v", f, data, err)
 		}
+	}
+}
+
+// TestStageRejectsShortSource: a source that delivers fewer bytes than the
+// catalog size must fail the Stage and leave nothing on disk, instead of
+// silently skewing capacity accounting; once the source delivers the right
+// length, the next Stage repairs the file.
+func TestStageRejectsShortSource(t *testing.T) {
+	cat := bundle.NewCatalog()
+	f := cat.AddAnonymous(9) // len("payload-0")
+	pol := policy.WrapOptFileBundle(core.New(9, cat.SizeFunc(), core.Options{}))
+	short := true
+	st, err := store.New(t.TempDir(), store.FetchFunc(func(f bundle.FileID) (io.ReadCloser, error) {
+		payload := fmt.Sprintf("payload-%d", f)
+		if short {
+			payload = payload[:4]
+		}
+		return io.NopCloser(strings.NewReader(payload)), nil
+	}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := New(pol, cat).WithStore(st)
+
+	if _, _, err := s.Stage(bundle.New(f)); err == nil {
+		t.Fatal("Stage accepted a 4-byte file with catalog size 9")
+	}
+	if st.Contains(f) {
+		t.Error("short file left in the store")
+	}
+	if got := st.DiskUsage(); got != 0 {
+		t.Errorf("disk usage = %d after a rejected stage", got)
+	}
+
+	short = false
+	rel, _, err := s.Stage(bundle.New(f))
+	if err != nil {
+		t.Fatalf("Stage with a correct source: %v", err)
+	}
+	defer rel()
+	if !st.Contains(f) || st.DiskUsage() != 9 {
+		t.Errorf("contains=%v disk usage=%d, want the 9-byte file", st.Contains(f), st.DiskUsage())
 	}
 }
 

@@ -60,9 +60,23 @@ func (s *SRM) syncStore(res policy.Result, pinned bundle.Bundle) error {
 	return nil
 }
 
-// stageFile materializes f in the store. Called with s.mu held.
+// stageFile materializes f in the store and checks the bytes written against
+// f's catalog size, which the policy charged to the cache: a source whose
+// file differs in length would otherwise skew capacity accounting unseen. A
+// mismatched copy is removed and the attempt fails. Called with s.mu held.
 func (s *SRM) stageFile(f bundle.FileID) error {
-	if err := s.retryStore(func() error { _, _, err := s.store.Stage(f); return err }); err != nil {
+	want := s.sizeOf(f)
+	err := s.retryStore(func() error {
+		n, _, err := s.store.Stage(f)
+		if err != nil || n == want {
+			return err
+		}
+		if err := s.store.Remove(f); err != nil {
+			return err
+		}
+		return fmt.Errorf("source gave %d bytes, catalog size is %d", n, want)
+	})
+	if err != nil {
 		return fmt.Errorf("srm: store load %d: %w", f, err)
 	}
 	return nil

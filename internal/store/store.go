@@ -53,7 +53,10 @@ type entry struct {
 }
 
 // New creates (or reuses) a store rooted at dir, fetching misses from
-// source.
+// source. A store starts with an empty index, so files an earlier store left
+// in dir — staged copies (f*.dat) and interrupted temp files (staging-*) —
+// could never be served or evicted; New deletes them. Other files in dir
+// are left alone.
 func New(dir string, source Source) (*Store, error) {
 	if source == nil {
 		return nil, fmt.Errorf("store: nil source")
@@ -61,7 +64,30 @@ func New(dir string, source Source) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
+	if err := reclaim(dir); err != nil {
+		return nil, err
+	}
 	return &Store{dir: dir, source: source, files: make(map[bundle.FileID]*entry)}, nil
+}
+
+// reclaim deletes the regular files in dir that a Store writes.
+func reclaim(dir string) error {
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		return fmt.Errorf("store: %w", err)
+	}
+	for _, e := range ents {
+		name := e.Name()
+		staged, _ := filepath.Match("f*.dat", name)
+		temp, _ := filepath.Match("staging-*", name)
+		if !e.Type().IsRegular() || !(staged || temp) {
+			continue
+		}
+		if err := os.Remove(filepath.Join(dir, name)); err != nil && !os.IsNotExist(err) {
+			return fmt.Errorf("store: reclaim %s: %w", name, err)
+		}
+	}
+	return nil
 }
 
 // Dir reports the cache directory.

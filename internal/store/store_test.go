@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -168,6 +170,39 @@ func TestSourceErrorPropagates(t *testing.T) {
 	}
 	if s.Contains(1) {
 		t.Error("failed stage left residue")
+	}
+}
+
+// TestNewReclaimsLeftovers: a store reusing a directory starts with an
+// empty index, so the staged copies and temp files of an earlier store must
+// go; files it did not write must stay.
+func TestNewReclaimsLeftovers(t *testing.T) {
+	dir := t.TempDir()
+	for _, name := range []string{"f00000003.dat", "staging-123456", "notes.txt", "f3.bak"} {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte("old"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := os.Mkdir(filepath.Join(dir, "f-sub.dat"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	s, err := New(dir, fakeSource())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var left []string
+	for _, e := range ents {
+		left = append(left, e.Name())
+	}
+	if want := []string{"f-sub.dat", "f3.bak", "notes.txt"}; !slices.Equal(left, want) {
+		t.Errorf("files left = %v, want %v", left, want)
+	}
+	if got := s.DiskUsage(); got != 0 {
+		t.Errorf("DiskUsage = %d, want 0", got)
 	}
 }
 
