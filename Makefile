@@ -82,16 +82,17 @@ bench-guard:
 	$(GO) test -run '^$$' -bench 'BenchmarkLandlord$$' -benchmem -benchtime=100x ./internal/policy/landlord/
 	$(GO) test -run '^$$' -bench 'BenchmarkSpan(Disabled|Enabled|Promoted)' -benchmem -benchtime=100x ./internal/obs/span/
 
-# CORE_BENCH runs the core/landlord/simulate benchmarks and pipes them into
+# CORE_BENCH runs the core/landlord/simulate/srm benchmarks and pipes them into
 # benchjson, requiring every expected benchmark; bench-json, bench-require
 # and bench-compare append only their output flags. BenchmarkAdmit covers
 # both history truncations, so the 0-allocs steady state is gated in the
-# cache-resident configuration srmd serves with too. -cpu 1 keeps benchmark
-# names free of the -GOMAXPROCS suffix, so live runs match the baseline's
-# names on any host.
-CORE_BENCH = $(GO) test -run '^$$' -bench 'OptCacheSelect|BenchmarkAdmit$$|BenchmarkLandlord|RunEvents|Run(OptFileBundle|Landlord)1000' \
-		-benchmem -benchtime=100x -cpu 1 ./internal/core/ ./internal/policy/landlord/ ./internal/simulate/ \
-	| $(GO) run ./cmd/benchjson -require OptCacheSelect -require BenchmarkAdmit/ -require Landlord \
+# cache-resident configuration srmd serves with too; BenchmarkStage gates
+# the in-process SRM Stage+Release rung above it, with and without spans.
+# -cpu 1 keeps benchmark names free of the -GOMAXPROCS suffix, so live runs
+# match the baseline's names on any host.
+CORE_BENCH = $(GO) test -run '^$$' -bench 'OptCacheSelect|BenchmarkAdmit$$|BenchmarkStage$$|BenchmarkLandlord|RunEvents|Run(OptFileBundle|Landlord)1000' \
+		-benchmem -benchtime=100x -cpu 1 ./internal/core/ ./internal/policy/landlord/ ./internal/simulate/ ./internal/srm/ \
+	| $(GO) run ./cmd/benchjson -require OptCacheSelect -require BenchmarkAdmit/ -require BenchmarkStage/ -require Landlord \
 		-require RunEvents -require RunOptFileBundle1000
 
 # bench-json runs the core/landlord/simulate benchmarks and converts the

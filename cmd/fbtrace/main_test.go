@@ -63,9 +63,9 @@ func TestSpansSubcommand(t *testing.T) {
 	child := rec.StartChild(root.Context(), span.OpStageAdmit)
 	child.SetBytes(4096)
 	child.Finish(span.ErrNone)
-	busy := rec.StartChild(root.Context(), span.OpStageWait)
-	busy.Finish(span.ErrBusy)
-	root.Finish(span.ErrBusy)
+	wait := rec.StartChild(root.Context(), span.OpStageWait)
+	wait.Finish(span.ErrOther)
+	root.Finish(span.ErrOther)
 	if err := rec.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +79,7 @@ func TestSpansSubcommand(t *testing.T) {
 		"per-op latency (wall clock):",
 		"stage.admit",
 		"slowest 1 request(s):",
-		"busy",
+		"other",
 		"request trees:",
 		"bytes=4096",
 	} {

@@ -45,7 +45,6 @@ func main() {
 		cacheGB    = flag.Float64("cache-gb", 4, "reference cache size for workload sizing (match the server)")
 		popularity = flag.String("popularity", "zipf", "uniform or zipf")
 		seed       = flag.Int64("seed", 1, "workload seed")
-		retries    = flag.Int("retries", 1, "client stage attempts when the server answers busy/retryable (1 = no retry)")
 		degraded   = flag.Bool("degraded", false, "run the degraded-mode fault experiment instead of benching a server")
 		replSweep  = flag.Bool("replication", false, "run the replication-budget recovery experiment instead of benching a server")
 		csv        = flag.Bool("csv", false, "with -degraded/-replication: emit CSV instead of the aligned table")
@@ -98,7 +97,7 @@ func main() {
 		fail(err)
 	}
 
-	sum, err := runBench(*addr, w, *clients, *jobs, *retries, tracer)
+	sum, err := runBench(*addr, w, *clients, *jobs, tracer)
 	if err != nil {
 		fail(err)
 	}
@@ -145,12 +144,12 @@ type benchSummary struct {
 }
 
 // runBench registers the workload's files on the server and drives the
-// client fleet. Each client's jobs are a disjoint slice of w.Jobs.
-// stageAttempts >= 2 retries busy/retryable server answers with the
-// server's own retry-after pacing. tracer, when non-nil, receives one
-// client-observed JobServed record per operation (At is wall seconds since
-// the bench started — this is a live load test, not a simulation).
-func runBench(addr string, w *workload.Workload, clients, jobsPerClient, stageAttempts int, tracer *obs.JSONLSink) (*benchSummary, error) {
+// client fleet. Each client's jobs are a disjoint slice of w.Jobs. A stage
+// the cache cannot pin yet waits on the server until a release frees
+// capacity. tracer, when non-nil, receives one client-observed JobServed
+// record per operation (At is wall seconds since the bench started — this
+// is a live load test, not a simulation).
+func runBench(addr string, w *workload.Workload, clients, jobsPerClient int, tracer *obs.JSONLSink) (*benchSummary, error) {
 	setup, err := srm.Dial(addr)
 	if err != nil {
 		return nil, err
@@ -193,7 +192,7 @@ func runBench(addr string, w *workload.Workload, clients, jobsPerClient, stageAt
 				}
 				b := w.Requests[w.Jobs[idx]]
 				t0 := time.Now()
-				token, hit, _, err := conn.StageRetry(stageAttempts, names(b)...)
+				token, hit, _, err := conn.Stage(names(b)...)
 				if err == nil {
 					err = conn.Release(token)
 				}

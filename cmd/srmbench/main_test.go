@@ -43,7 +43,7 @@ func TestRunBenchEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	sum, err := runBench(server.Addr(), w, clients, jobsPerClient, 3, nil)
+	sum, err := runBench(server.Addr(), w, clients, jobsPerClient, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +76,7 @@ func TestRunBenchUnreachableServer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := runBench("127.0.0.1:1", w, 1, 1, 1, nil); err == nil {
+	if _, err := runBench("127.0.0.1:1", w, 1, 1, nil); err == nil {
 		t.Error("unreachable server accepted")
 	}
 }

@@ -17,8 +17,8 @@
 //     (Start/Retry/Failover/Done phases) and JobServed — emitted by
 //     internal/core, internal/policy/landlord, internal/cache and
 //     internal/simulate. Emit sites guard with a nil check, so an untraced
-//     run pays only an untaken branch; ready-made sinks include a ring
-//     buffer, a JSONL writer and an aggregating stats sink.
+//     run pays only an untaken branch; the ready-made sinks are a JSONL
+//     writer and an aggregating stats sink.
 //   - Exposition (prom.go, http.go): hand-rolled Prometheus text format,
 //     an expvar-style JSON view, and a DebugMux bundling /metrics,
 //     /debug/vars and net/http/pprof for cmd/srmd's -debug-addr flag.

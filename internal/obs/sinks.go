@@ -71,134 +71,6 @@ func (s *JSONLSink) ReplicaPlan(e ReplicaPlanEvent) { s.emit("replica_plan", e) 
 // Span implements Tracer.
 func (s *JSONLSink) Span(e SpanEvent) { s.emit("span", e) }
 
-// RingSink keeps the most recent capacity events in memory — a flight
-// recorder for tests and post-mortem inspection. Safe for concurrent use.
-//
-// Wrap semantics: once the (capacity+1)-th event is pushed the ring starts
-// overwriting its oldest slot, so a reader only ever sees the newest
-// `capacity` events; Dropped counts the overwritten ones. Events and Drain
-// copy the buffer under the ring's lock, so a snapshot taken while other
-// goroutines push is a consistent contiguous suffix of the emission order —
-// a wrap can happen before or after a snapshot, never "inside" one.
-type RingSink struct {
-	mu      sync.Mutex
-	buf     []any //fbvet:guardedby mu
-	next    int   //fbvet:guardedby mu
-	wrap    bool  //fbvet:guardedby mu
-	total   int64 //fbvet:guardedby mu
-	dropped int64 //fbvet:guardedby mu
-}
-
-// NewRingSink returns a ring holding up to capacity events (min 1).
-func NewRingSink(capacity int) *RingSink {
-	if capacity < 1 {
-		capacity = 1
-	}
-	return &RingSink{buf: make([]any, capacity)}
-}
-
-func (r *RingSink) push(ev any) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.buf[r.next] != nil {
-		r.dropped++ // overwriting an event nobody drained
-	}
-	r.buf[r.next] = ev
-	r.next++
-	r.total++
-	if r.next == len(r.buf) {
-		r.next = 0
-		r.wrap = true
-	}
-}
-
-// eventsLocked copies the buffered events oldest-first; r.mu must be held.
-func (r *RingSink) eventsLocked() []any {
-	if !r.wrap {
-		return append([]any(nil), r.buf[:r.next]...)
-	}
-	out := make([]any, 0, len(r.buf))
-	// After a wrap, buf[next:] holds the oldest events and buf[:next] the
-	// newest — at the exact wrap boundary (next == 0) this is the whole
-	// buffer in push order. Drained slots are nil and skipped.
-	for _, ev := range r.buf[r.next:] {
-		if ev != nil {
-			out = append(out, ev)
-		}
-	}
-	for _, ev := range r.buf[:r.next] {
-		if ev != nil {
-			out = append(out, ev)
-		}
-	}
-	return out
-}
-
-// Events returns the buffered events oldest-first, leaving them buffered.
-func (r *RingSink) Events() []any {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.eventsLocked()
-}
-
-// Drain returns the buffered events in emission order and empties the ring:
-// a subsequent Events, or another Drain, observes only later pushes. Total
-// and Dropped are preserved — draining consumes events, it does not drop
-// them.
-func (r *RingSink) Drain() []any {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := r.eventsLocked()
-	for i := range r.buf {
-		r.buf[i] = nil
-	}
-	r.next = 0
-	r.wrap = false
-	return out
-}
-
-// Total reports how many events were ever pushed (including overwritten ones).
-func (r *RingSink) Total() int64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.total
-}
-
-// Dropped reports how many events were overwritten before any Drain
-// retrieved them — the flight recorder's data-loss counter.
-func (r *RingSink) Dropped() int64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.dropped
-}
-
-// Admit implements Tracer.
-func (r *RingSink) Admit(e AdmitEvent) { r.push(e) }
-
-// Load implements Tracer.
-func (r *RingSink) Load(e LoadEvent) { r.push(e) }
-
-// Evict implements Tracer.
-func (r *RingSink) Evict(e EvictEvent) { r.push(e) }
-
-// SelectRound implements Tracer.
-func (r *RingSink) SelectRound(e SelectRoundEvent) { r.push(e) }
-
-// CreditDecay implements Tracer.
-func (r *RingSink) CreditDecay(e CreditDecayEvent) { r.push(e) }
-
-// Stage implements Tracer.
-func (r *RingSink) Stage(e StageEvent) { r.push(e) }
-
-// JobServed implements Tracer.
-func (r *RingSink) JobServed(e JobServedEvent) { r.push(e) }
-
-// ReplicaPlan implements Tracer.
-func (r *RingSink) ReplicaPlan(e ReplicaPlanEvent) { r.push(e) }
-
-// Span implements Tracer.
-func (r *RingSink) Span(e SpanEvent) { r.push(e) }
-
 // TraceStats aggregates event counts and headline byte totals.
 type TraceStats struct {
 	Admits       int64 `json:"admits"`
@@ -323,71 +195,5 @@ func (s *StatsSink) Span(e SpanEvent) {
 	s.st.Spans++
 	if e.Err != "" {
 		s.st.SpanErrors++
-	}
-}
-
-// MultiTracer fans every event out to each tracer in order.
-type MultiTracer []Tracer
-
-// Admit implements Tracer.
-func (m MultiTracer) Admit(e AdmitEvent) {
-	for _, t := range m {
-		t.Admit(e)
-	}
-}
-
-// Load implements Tracer.
-func (m MultiTracer) Load(e LoadEvent) {
-	for _, t := range m {
-		t.Load(e)
-	}
-}
-
-// Evict implements Tracer.
-func (m MultiTracer) Evict(e EvictEvent) {
-	for _, t := range m {
-		t.Evict(e)
-	}
-}
-
-// SelectRound implements Tracer.
-func (m MultiTracer) SelectRound(e SelectRoundEvent) {
-	for _, t := range m {
-		t.SelectRound(e)
-	}
-}
-
-// CreditDecay implements Tracer.
-func (m MultiTracer) CreditDecay(e CreditDecayEvent) {
-	for _, t := range m {
-		t.CreditDecay(e)
-	}
-}
-
-// Stage implements Tracer.
-func (m MultiTracer) Stage(e StageEvent) {
-	for _, t := range m {
-		t.Stage(e)
-	}
-}
-
-// JobServed implements Tracer.
-func (m MultiTracer) JobServed(e JobServedEvent) {
-	for _, t := range m {
-		t.JobServed(e)
-	}
-}
-
-// ReplicaPlan implements Tracer.
-func (m MultiTracer) ReplicaPlan(e ReplicaPlanEvent) {
-	for _, t := range m {
-		t.ReplicaPlan(e)
-	}
-}
-
-// Span implements Tracer.
-func (m MultiTracer) Span(e SpanEvent) {
-	for _, t := range m {
-		t.Span(e)
 	}
 }

@@ -17,8 +17,8 @@ func quantileOrZero(h *obs.Histogram, q float64) float64 {
 }
 
 // ExportTo registers the recorder's per-operation latency histograms
-// (fbcache_op_latency_seconds{op="..."} with p50/p90/p99 gauges), error and
-// retry counters, the request in-flight gauge and the flight-recorder
+// (fbcache_op_latency_seconds{op="..."} with p50/p90/p99 gauges), error
+// counters, the request in-flight gauge and the flight-recorder
 // accounting on reg. Call once per registry; the obs name-collision panic
 // catches double export. Safe on a nil recorder (registers nothing).
 func (r *Recorder) ExportTo(reg *obs.Registry) {
@@ -43,13 +43,10 @@ func (r *Recorder) ExportTo(reg *obs.Registry) {
 				"Interpolated latency quantile of fbcache_op_latency_seconds.",
 				func() float64 { return quantileOrZero(h, q.q) })
 		}
-		errs, retries := &r.errs[op], &r.retries[op]
+		errs := &r.errs[op]
 		reg.CounterFunc("fbcache_op_errors_total"+label,
 			"Spans finished with a non-empty error class.",
 			func() float64 { return float64(errs.Load()) })
-		reg.CounterFunc("fbcache_op_retries_total"+label,
-			"Operation retries observed by the span layer.",
-			func() float64 { return float64(retries.Load()) })
 	}
 	reg.GaugeFunc("fbcache_spans_inflight",
 		"Request root spans started but not yet finished.",

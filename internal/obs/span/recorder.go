@@ -142,9 +142,8 @@ type Recorder struct {
 	keptReqs  atomic.Int64
 	anomalies atomic.Int64
 
-	lat     [opCount]*obs.Histogram
-	errs    [opCount]atomic.Int64
-	retries [opCount]atomic.Int64
+	lat  [opCount]*obs.Histogram
+	errs [opCount]atomic.Int64
 
 	mask    uint64
 	stripes []stripe
@@ -247,15 +246,6 @@ func (r *Recorder) StartChild(ctx Context, op Op) Active {
 		Op:     op,
 		Start:  r.now(),
 	}}
-}
-
-// Retry counts one retry of op (e.g. a client re-dialing a busy stage).
-// Safe on nil.
-func (r *Recorder) Retry(op Op) {
-	if r == nil {
-		return
-	}
-	r.retries[op].Add(1)
 }
 
 // finish records a completed span: latency and error accounting, then ring

@@ -33,10 +33,30 @@ func serveOne(rec *Recorder, ctx Context, err ErrCode) RequestID {
 	return req
 }
 
+// spanSink captures dumped spans in emission order; every other event is
+// dropped.
+type spanSink struct {
+	obs.NopTracer
+	mu    sync.Mutex
+	spans []obs.SpanEvent
+}
+
+func (s *spanSink) Span(e obs.SpanEvent) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.spans = append(s.spans, e)
+}
+
+func (s *spanSink) events() []obs.SpanEvent {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return append([]obs.SpanEvent(nil), s.spans...)
+}
+
 func TestAnomalousRequestPromotedAndDumped(t *testing.T) {
-	ring := obs.NewRingSink(64)
+	dump := &spanSink{}
 	o := slowOpts()
-	o.Dump = ring
+	o.Dump = dump
 	rec := New(o)
 
 	req := serveOne(rec, Context{}, ErrNone) // slow (threshold 1ns) → anomalous
@@ -70,12 +90,12 @@ func TestAnomalousRequestPromotedAndDumped(t *testing.T) {
 		t.Errorf("admit attributes lost: %+v", admit)
 	}
 
-	if got := len(ring.Events()); got != 3 {
+	dumped := dump.events()
+	if got := len(dumped); got != 3 {
 		t.Fatalf("dump sink got %d events, want 3", got)
 	}
-	last, ok := ring.Events()[2].(obs.SpanEvent)
-	if !ok || last.Op != "stage" {
-		t.Fatalf("dump order: last event %+v, want the stage root", ring.Events()[2])
+	if last := dumped[2]; last.Op != "stage" {
+		t.Fatalf("dump order: last event %+v, want the stage root", last)
 	}
 
 	c := rec.Counters()
@@ -86,7 +106,7 @@ func TestAnomalousRequestPromotedAndDumped(t *testing.T) {
 
 func TestErrorRequestIsAnomalous(t *testing.T) {
 	rec := New(Options{SlowThreshold: time.Hour, SampleEvery: 1 << 62})
-	serveOne(rec, Context{}, ErrBusy)
+	serveOne(rec, Context{}, ErrOther)
 	if c := rec.Counters(); c.Anomalies != 1 || c.Kept != 1 {
 		t.Errorf("counters = %+v, want the errored request promoted", c)
 	}
@@ -94,8 +114,8 @@ func TestErrorRequestIsAnomalous(t *testing.T) {
 		t.Errorf("OpErrors(OpStage) = %d, want 1", got)
 	}
 	kept := rec.Kept()
-	if len(kept) == 0 || kept[len(kept)-1].Err != ErrBusy {
-		t.Errorf("kept root does not carry ErrBusy: %+v", kept)
+	if len(kept) == 0 || kept[len(kept)-1].Err != ErrOther {
+		t.Errorf("kept root does not carry ErrOther: %+v", kept)
 	}
 }
 
@@ -130,9 +150,8 @@ func TestDisabledPathIsNoOp(t *testing.T) {
 	child.SetFiles(1)
 	child.SetHit(true)
 	child.AdoptRequest(9)
-	child.Finish(ErrBusy)
+	child.Finish(ErrOther)
 	root.Finish(ErrNone)
-	rec.Retry(OpRPCStage)
 	if c := rec.Counters(); c != (Counters{}) {
 		t.Errorf("nil counters = %+v, want zero", c)
 	}
@@ -202,18 +221,6 @@ func TestRingOverwriteCountsDropped(t *testing.T) {
 	}
 }
 
-func TestRetryCounter(t *testing.T) {
-	rec := New(slowOpts())
-	rec.Retry(OpRPCStage)
-	rec.Retry(OpRPCStage)
-	reg := obs.NewRegistry()
-	rec.ExportTo(reg)
-	m, ok := reg.Snapshot().Get(`fbcache_op_retries_total{op="rpc.stage"}`)
-	if !ok || m.Value != 2 {
-		t.Fatalf("retries metric = %+v (ok=%v), want 2", m, ok)
-	}
-}
-
 func TestExportTo(t *testing.T) {
 	rec := New(slowOpts())
 	reg := obs.NewRegistry()
@@ -225,7 +232,7 @@ func TestExportTo(t *testing.T) {
 		t.Fatalf("idle p99 = %+v (ok=%v), want 0", m, ok)
 	}
 
-	serveOne(rec, Context{}, ErrBusy)
+	serveOne(rec, Context{}, ErrOther)
 	snap = reg.Snapshot()
 	if m, ok := snap.Get(`fbcache_op_latency_seconds{op="stage"}`); !ok || m.Count != 1 {
 		t.Errorf("stage histogram = %+v (ok=%v), want 1 observation", m, ok)
@@ -298,8 +305,7 @@ func TestFileDumpFlushOnClose(t *testing.T) {
 }
 
 func TestConcurrentRequests(t *testing.T) {
-	ring := obs.NewRingSink(1 << 12)
-	rec := New(Options{Stripes: 4, PerStripe: 128, SlowThreshold: time.Nanosecond, Dump: ring})
+	rec := New(Options{Stripes: 4, PerStripe: 128, SlowThreshold: time.Nanosecond, Dump: &spanSink{}})
 	const workers, perWorker = 8, 50
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -309,7 +315,7 @@ func TestConcurrentRequests(t *testing.T) {
 			for i := 0; i < perWorker; i++ {
 				err := ErrNone
 				if i%7 == 0 {
-					err = ErrBusy
+					err = ErrOther
 				}
 				serveOne(rec, Context{}, err)
 			}

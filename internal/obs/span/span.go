@@ -97,8 +97,6 @@ type ErrCode uint8
 const (
 	// ErrNone means the operation succeeded.
 	ErrNone ErrCode = iota
-	// ErrBusy maps srm.ErrBusy: admission timed out waiting for capacity.
-	ErrBusy
 	// ErrTooLarge maps srm.ErrTooLarge: the bundle cannot fit even in an
 	// empty cache.
 	ErrTooLarge
@@ -116,7 +114,6 @@ const (
 // field omits cleanly on success.
 var errNames = [errCount]string{
 	ErrNone:     "",
-	ErrBusy:     "busy",
 	ErrTooLarge: "too_large",
 	ErrClosed:   "closed",
 	ErrStore:    "store",

@@ -64,7 +64,7 @@ func TestTreesSelfParentDoesNotCycle(t *testing.T) {
 
 func TestFlightHandler(t *testing.T) {
 	rec := New(Options{Stripes: 1, PerStripe: 64, SlowThreshold: time.Nanosecond, SampleEvery: 1 << 62})
-	serveOne(rec, Context{}, ErrBusy)
+	serveOne(rec, Context{}, ErrOther)
 
 	rr := httptest.NewRecorder()
 	FlightHandler(rec).ServeHTTP(rr, httptest.NewRequest("GET", "/debug/flight", nil))
@@ -85,8 +85,8 @@ func TestFlightHandler(t *testing.T) {
 		t.Fatalf("got %d request trees, want 1", len(snap.Requests))
 	}
 	root := snap.Requests[0]
-	if root.Op != "stage" || root.Err != "busy" || len(root.Children) != 2 {
-		t.Errorf("tree root = %+v with %d children, want busy stage with 2 legs",
+	if root.Op != "stage" || root.Err != "other" || len(root.Children) != 2 {
+		t.Errorf("tree root = %+v with %d children, want an errored stage with 2 legs",
 			root.SpanEvent, len(root.Children))
 	}
 }

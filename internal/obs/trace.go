@@ -163,7 +163,7 @@ type SpanEvent struct {
 	Bytes  int64   `json:"bytes,omitempty"`
 	Files  int     `json:"files,omitempty"`
 	Hit    bool    `json:"hit,omitempty"`
-	// Err is the span's error class ("busy", "too_large", ...) or empty on
+	// Err is the span's error class ("too_large", "closed", ...) or empty on
 	// success (see span.ErrCode).
 	Err string `json:"err,omitempty"`
 }

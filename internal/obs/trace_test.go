@@ -50,25 +50,6 @@ func TestJSONLSinkDeterministic(t *testing.T) {
 	}
 }
 
-func TestRingSink(t *testing.T) {
-	r := NewRingSink(3)
-	for i := 0; i < 5; i++ {
-		r.Load(LoadEvent{At: float64(i), File: 7, Bytes: 1})
-	}
-	evs := r.Events()
-	if len(evs) != 3 {
-		t.Fatalf("ring holds %d events, want 3", len(evs))
-	}
-	for i, want := range []float64{2, 3, 4} {
-		if got := evs[i].(LoadEvent).At; got != want {
-			t.Errorf("event[%d].At = %g, want %g (oldest-first)", i, got, want)
-		}
-	}
-	if r.Total() != 5 {
-		t.Errorf("Total = %d, want 5", r.Total())
-	}
-}
-
 func TestStatsSink(t *testing.T) {
 	s := NewStatsSink()
 	emitOneOfEach(s)
@@ -86,33 +67,22 @@ func TestStatsSink(t *testing.T) {
 	}
 }
 
-func TestMultiTracerFansOut(t *testing.T) {
-	a, b := NewStatsSink(), NewStatsSink()
-	m := MultiTracer{a, b, NopTracer{}}
-	emitOneOfEach(m)
-	if a.Stats() != b.Stats() {
-		t.Fatal("fan-out delivered different streams")
-	}
-	if a.Stats().Admits != 1 {
-		t.Fatalf("admits = %d, want 1", a.Stats().Admits)
-	}
-}
-
 func TestSinksConcurrent(t *testing.T) {
 	var sb strings.Builder
-	sinks := MultiTracer{NewJSONLSink(&sb), NewRingSink(16), NewStatsSink()}
+	jsonl, stats := NewJSONLSink(&sb), NewStatsSink()
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 100; i++ {
-				emitOneOfEach(sinks)
+				emitOneOfEach(jsonl)
+				emitOneOfEach(stats)
 			}
 		}()
 	}
 	wg.Wait()
-	if got := sinks[2].(*StatsSink).Stats().Admits; got != 400 {
+	if got := stats.Stats().Admits; got != 400 {
 		t.Fatalf("admits = %d, want 400", got)
 	}
 }

@@ -4,74 +4,7 @@ import (
 	"errors"
 	"testing"
 	"time"
-
-	"fbcache/internal/bundle"
 )
-
-func TestStageTimeoutReturnsErrBusy(t *testing.T) {
-	// Capacity 100; bundle 0 (60 bytes) pins the cache so bundle 1 (60
-	// bytes) can never coexist with it.
-	s, _ := newTestSRM(100, 60, 60)
-	s.WithStageTimeout(30 * time.Millisecond)
-	rel, _, err := s.Stage(bundle.New(0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rel()
-
-	start := time.Now()
-	_, _, err = s.Stage(bundle.New(1))
-	if !errors.Is(err, ErrBusy) {
-		t.Fatalf("err = %v, want ErrBusy", err)
-	}
-	if elapsed := time.Since(start); elapsed > 2*time.Second {
-		t.Errorf("busy rejection took %v, deadline was 30ms", elapsed)
-	}
-	if st := s.Stats(); st.Resilience.Timeouts != 1 {
-		t.Errorf("timeouts = %d, want 1 (%v)", st.Resilience.Timeouts, st.Resilience)
-	}
-
-	// After the pin releases, the same request succeeds within the deadline.
-	rel()
-	rel2, _, err := s.Stage(bundle.New(1))
-	if err != nil {
-		t.Fatalf("stage after release: %v", err)
-	}
-	rel2()
-}
-
-func TestStageTimeoutZeroMeansUnbounded(t *testing.T) {
-	s, _ := newTestSRM(100, 60, 60)
-	s.WithStageTimeout(20 * time.Millisecond).WithStageTimeout(0)
-	rel1, _, err := s.Stage(bundle.New(0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	staged := make(chan error, 1)
-	go func() {
-		rel2, _, err := s.Stage(bundle.New(1))
-		if err == nil {
-			rel2()
-		}
-		staged <- err
-	}()
-	// Well past the (cleared) deadline the second stage must still be
-	// waiting, not failed.
-	select {
-	case err := <-staged:
-		t.Fatalf("second stage returned early: %v", err)
-	case <-time.After(60 * time.Millisecond):
-	}
-	rel1()
-	select {
-	case err := <-staged:
-		if err != nil {
-			t.Fatalf("second stage: %v", err)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("second stage never unblocked")
-	}
-}
 
 // store.Store is a concrete type we can't fake through syncStore, so the
 // bounded-retry engine is driven directly.
@@ -104,88 +37,6 @@ func TestRetryStoreBounded(t *testing.T) {
 	}
 	if calls != 3 {
 		t.Errorf("persistent failure tried %d times, want 3", calls)
-	}
-
-	// WithStoreRetries(1) means a single attempt, no retries.
-	s.WithStoreRetries(1)
-	calls = 0
-	_ = s.retryStore(func() error { calls++; return persistent })
-	if calls != 1 {
-		t.Errorf("with retries disabled: %d calls, want 1", calls)
-	}
-	// Clamping: nonsense values fall back to one attempt.
-	s.WithStoreRetries(-4)
-	calls = 0
-	_ = s.retryStore(func() error { calls++; return persistent })
-	if calls != 1 {
-		t.Errorf("clamped attempts: %d calls, want 1", calls)
-	}
-}
-
-func TestServerBusyResponseIsRetryable(t *testing.T) {
-	srv, s := startServer(t, 100)
-	s.WithStageTimeout(30 * time.Millisecond)
-	c, err := Dial(srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	for _, name := range []string{"a", "b"} {
-		if err := c.AddFile(name, 60); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	tokenA, _, _, err := c.Stage("a")
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, _, _, err = c.Stage("b")
-	var re *RetryableError
-	if !errors.As(err, &re) {
-		t.Fatalf("err = %v, want *RetryableError", err)
-	}
-	if re.RetryAfter <= 0 {
-		t.Errorf("retry-after hint = %v, want > 0", re.RetryAfter)
-	}
-
-	// StageRetry succeeds once the pin is released by a concurrent worker.
-	go func() {
-		time.Sleep(20 * time.Millisecond)
-		_ = c.Release(tokenA)
-	}()
-	tokenB, _, _, err := c.StageRetry(10, "b")
-	if err != nil {
-		t.Fatalf("StageRetry: %v", err)
-	}
-	if err := c.Release(tokenB); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestStageRetryGivesUpAfterMaxAttempts(t *testing.T) {
-	srv, s := startServer(t, 100)
-	s.WithStageTimeout(10 * time.Millisecond)
-	c, err := Dial(srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	for _, name := range []string{"a", "b"} {
-		if err := c.AddFile(name, 60); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	if _, _, _, err := c.Stage("a"); err != nil {
-		t.Fatal(err)
-	}
-	// "a" stays pinned: every retry must come back busy, and the bounded
-	// loop must eventually stop with the retryable error.
-	_, _, _, err = c.StageRetry(3, "b")
-	var re *RetryableError
-	if !errors.As(err, &re) {
-		t.Fatalf("err = %v, want *RetryableError after exhausting retries", err)
 	}
 }
 

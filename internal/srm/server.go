@@ -48,11 +48,7 @@ type Request struct {
 type Response struct {
 	OK    bool   `json:"ok"`
 	Error string `json:"error,omitempty"`
-	// Retryable marks transient failures (cache saturated with pins): the
-	// client should back off RetryAfterMs and resend the same request.
-	Retryable    bool   `json:"retryable,omitempty"`
-	RetryAfterMs int64  `json:"retry_after_ms,omitempty"`
-	Token        string `json:"token,omitempty"`
+	Token string `json:"token,omitempty"`
 
 	Hit         bool        `json:"hit,omitempty"`
 	BytesLoaded bundle.Size `json:"bytes_loaded,omitempty"`
@@ -267,8 +263,6 @@ func errCode(err error) span.ErrCode {
 	switch {
 	case err == nil:
 		return span.ErrNone
-	case errors.Is(err, ErrBusy):
-		return span.ErrBusy
 	case errors.Is(err, ErrTooLarge):
 		return span.ErrTooLarge
 	case errors.Is(err, ErrClosed):
@@ -300,12 +294,7 @@ func (srv *Server) dispatch(req *Request, leases map[string]Release, nextToken *
 		root.SetBytes(int64(res.BytesLoaded))
 		root.SetHit(res.Hit)
 		if err != nil {
-			resp := Response{Error: err.Error()}
-			if errors.Is(err, ErrBusy) {
-				resp.Retryable = true
-				resp.RetryAfterMs = srv.retryAfterHintMs()
-			}
-			return resp, errCode(err)
+			return Response{Error: err.Error()}, errCode(err)
 		}
 		*nextToken++
 		token := fmt.Sprintf("t%d", *nextToken)
@@ -328,19 +317,6 @@ func (srv *Server) dispatch(req *Request, leases map[string]Release, nextToken *
 	default:
 		return Response{Error: fmt.Sprintf("unknown op %q", req.Op)}, span.ErrOther
 	}
-}
-
-// retryAfterHintMs suggests how long a busy-rejected client should wait:
-// half the staging deadline (pins turn over on that scale), floored at
-// 100ms, or 500ms when no deadline is configured.
-func (srv *Server) retryAfterHintMs() int64 {
-	if d := srv.srm.StageTimeout(); d > 0 {
-		if ms := d.Milliseconds() / 2; ms >= 100 {
-			return ms
-		}
-		return 100
-	}
-	return 500
 }
 
 // Client is a minimal protocol client.
@@ -378,17 +354,6 @@ func Dial(addr string) (*Client, error) {
 // Close drops the connection, releasing all leases held through it.
 func (c *Client) Close() error { return c.conn.Close() }
 
-// RetryableError is a server rejection the client may retry after waiting
-// RetryAfter (e.g. the cache was saturated with pinned bundles).
-type RetryableError struct {
-	Msg        string
-	RetryAfter time.Duration
-}
-
-func (e *RetryableError) Error() string {
-	return fmt.Sprintf("srm: server (retryable, retry after %v): %s", e.RetryAfter, e.Msg)
-}
-
 // rpcOp maps a wire op to its client-side span operation.
 func rpcOp(op string) span.Op {
 	switch op {
@@ -418,21 +383,12 @@ func (c *Client) roundTrip(req Request) (Response, error) {
 	}
 	rpc.SetHit(resp.Hit)
 	rpc.SetBytes(int64(resp.BytesLoaded))
-	switch {
-	case err == nil:
-		rpc.Finish(span.ErrNone)
-	case isRetryable(err):
-		rpc.Finish(span.ErrBusy)
-	default:
+	if err != nil {
 		rpc.Finish(span.ErrOther)
+	} else {
+		rpc.Finish(span.ErrNone)
 	}
 	return resp, err
-}
-
-// isRetryable reports whether err wraps a RetryableError (server busy).
-func isRetryable(err error) bool {
-	var re *RetryableError
-	return errors.As(err, &re)
 }
 
 func (c *Client) doRoundTrip(req Request) (Response, error) {
@@ -446,12 +402,6 @@ func (c *Client) doRoundTrip(req Request) (Response, error) {
 		return Response{}, fmt.Errorf("srm: recv: %w", err)
 	}
 	if resp.Error != "" {
-		if resp.Retryable {
-			return resp, &RetryableError{
-				Msg:        resp.Error,
-				RetryAfter: time.Duration(resp.RetryAfterMs) * time.Millisecond,
-			}
-		}
 		return resp, fmt.Errorf("srm: server: %s", resp.Error)
 	}
 	return resp, nil
@@ -470,27 +420,6 @@ func (c *Client) Stage(files ...string) (token string, hit bool, loaded bundle.S
 		return "", false, 0, err
 	}
 	return resp.Token, resp.Hit, resp.BytesLoaded, nil
-}
-
-// StageRetry is Stage with bounded client-side retries: a RetryableError
-// (server busy) is retried after the server's retry-after hint, up to
-// maxAttempts total tries. Any other error returns immediately.
-func (c *Client) StageRetry(maxAttempts int, files ...string) (token string, hit bool, loaded bundle.Size, err error) {
-	if maxAttempts < 1 {
-		maxAttempts = 1
-	}
-	for attempt := 0; attempt < maxAttempts; attempt++ {
-		token, hit, loaded, err = c.Stage(files...)
-		var re *RetryableError
-		if err == nil || !errors.As(err, &re) {
-			return token, hit, loaded, err
-		}
-		if attempt+1 < maxAttempts {
-			c.rec.Retry(span.OpRPCStage)
-			time.Sleep(re.RetryAfter)
-		}
-	}
-	return token, hit, loaded, err
 }
 
 // Release releases a staged bundle.

@@ -1,7 +1,6 @@
 package srm
 
 import (
-	"errors"
 	"os"
 	"path/filepath"
 	"strings"
@@ -10,7 +9,6 @@ import (
 
 	"fbcache/internal/bundle"
 	"fbcache/internal/core"
-	"fbcache/internal/obs"
 	"fbcache/internal/obs/span"
 	"fbcache/internal/policy"
 )
@@ -120,52 +118,80 @@ func TestWireSpansEndToEnd(t *testing.T) {
 	}
 }
 
+// TestWaitSpanOnContention: a stage that cannot pin yet blocks on the
+// server until another connection releases, then succeeds; the block is
+// exactly one stage.wait span covering the hold.
 func TestWaitSpanOnContention(t *testing.T) {
 	srv, s, rec := startSpanServer(t, 30, keepAll())
-	s.WithStageTimeout(50 * time.Millisecond)
-	c, err := Dial(srv.Addr())
+	holder, err := Dial(srv.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer c.Close()
-	if err := c.AddFile("a", 30); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.AddFile("b", 30); err != nil {
-		t.Fatal(err)
-	}
-	token, _, _, err := c.Stage("a")
+	defer holder.Close()
+	waiter, err := Dial(srv.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Cache full of pins: this stage waits out the deadline and fails busy.
-	if _, _, _, err := c.Stage("b"); err == nil || !isRetryable(err) {
-		t.Fatalf("contended stage: %v, want retryable busy", err)
+	defer waiter.Close()
+	if err := holder.AddFile("a", 30); err != nil {
+		t.Fatal(err)
 	}
-	if err := c.Release(token); err != nil {
+	if err := holder.AddFile("b", 30); err != nil {
+		t.Fatal(err)
+	}
+	token, _, _, err := holder.Stage("a")
+	if err != nil {
 		t.Fatal(err)
 	}
 
-	var waits, busyRoots int
+	// Cache full of pins: "b" blocks on the server until "a" is released.
+	// The hold starts only once the server counts "b" as waiting, so both
+	// the client's wait and the wait span cover all of it.
+	type staged struct {
+		token string
+		err   error
+	}
+	done := make(chan staged, 1)
+	start := time.Now()
+	go func() {
+		tok, _, _, err := waiter.Stage("b")
+		done <- staged{tok, err}
+	}()
+	waitUntil(t, func() bool { return s.Stats().WaitingJobs == 1 })
+	const hold = 30 * time.Millisecond
+	time.Sleep(hold)
+	if err := holder.Release(token); err != nil {
+		t.Fatal(err)
+	}
+	got := <-done
+	if got.err != nil {
+		t.Fatalf("contended stage: %v", got.err)
+	}
+	if elapsed := time.Since(start); elapsed < hold {
+		t.Errorf("contended stage returned after %v, before the %v hold ended", elapsed, hold)
+	}
+	if err := waiter.Release(got.token); err != nil {
+		t.Fatal(err)
+	}
+
+	var waits int
 	for _, sp := range rec.Kept() {
-		switch {
-		case sp.Op == span.OpStageWait:
-			waits++
-			if sp.Err != span.ErrBusy {
-				t.Errorf("wait span err = %v, want busy", sp.Err)
-			}
-			if sp.Duration() < 40*time.Millisecond {
-				t.Errorf("wait span lasted %v, deadline is 50ms", sp.Duration())
-			}
-		case sp.Op == span.OpStage && sp.Err == span.ErrBusy:
-			busyRoots++
+		if sp.Op != span.OpStageWait {
+			continue
+		}
+		waits++
+		if sp.Err != span.ErrNone {
+			t.Errorf("wait span err = %v, want none", sp.Err)
+		}
+		if sp.Duration() < hold {
+			t.Errorf("wait span lasted %v, the hold was %v", sp.Duration(), hold)
 		}
 	}
-	if waits != 1 || busyRoots != 1 {
-		t.Errorf("wait/busy-root spans = %d/%d, want 1/1", waits, busyRoots)
+	if waits != 1 {
+		t.Errorf("wait spans = %d, want 1", waits)
 	}
-	if got := rec.OpErrors(span.OpStage); got != 1 {
-		t.Errorf("OpErrors(stage) = %d, want 1", got)
+	if got := rec.OpErrors(span.OpStage); got != 0 {
+		t.Errorf("OpErrors(stage) = %d, want 0", got)
 	}
 }
 
@@ -241,63 +267,3 @@ func TestShutdownFlushesFlightRecorder(t *testing.T) {
 type countingCloser struct{ n int }
 
 func (c *countingCloser) Close() error { c.n++; return nil }
-
-// TestStageRetryHonorsRetryAfterHint covers the retry-after path end to
-// end: a busy server returns the hint (half the staging deadline), and
-// StageRetry waits it out between attempts.
-func TestStageRetryHonorsRetryAfterHint(t *testing.T) {
-	srv, s, _ := startSpanServer(t, 30, keepAll())
-	s.WithStageTimeout(200 * time.Millisecond) // hint = 100ms
-	crec := span.New(keepAll())
-	c, err := Dial(srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	c.WithSpans(crec)
-
-	if err := c.AddFile("a", 30); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.AddFile("b", 30); err != nil {
-		t.Fatal(err)
-	}
-	token, _, _, err := c.Stage("a")
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Pins never release: every attempt waits out the 200ms deadline, and
-	// between attempts the client must sleep the server's 100ms hint.
-	start := time.Now()
-	_, _, _, err = c.StageRetry(2, "b")
-	elapsed := time.Since(start)
-	if err == nil || !isRetryable(err) {
-		t.Fatalf("StageRetry on a saturated cache: %v, want retryable busy", err)
-	}
-	var re *RetryableError
-	if !errors.As(err, &re) {
-		t.Fatal("error does not unwrap to RetryableError")
-	}
-	if re.RetryAfter != 100*time.Millisecond {
-		t.Errorf("server hint = %v, want 100ms (half the 200ms deadline)", re.RetryAfter)
-	}
-	// Two 200ms server-side waits plus one 100ms client-side backoff.
-	if elapsed < 450*time.Millisecond {
-		t.Errorf("StageRetry returned after %v; hint not honored (want >= 500ms-ish)", elapsed)
-	}
-
-	// The retry is visible in the client's span telemetry.
-	reg := obs.NewRegistry()
-	crec.ExportTo(reg)
-	if m, ok := reg.Snapshot().Get(`fbcache_op_retries_total{op="rpc.stage"}`); !ok || m.Value != 1 {
-		t.Errorf("rpc.stage retries = %+v (ok=%v), want 1", m, ok)
-	}
-	if got := crec.OpErrors(span.OpRPCStage); got != 2 {
-		t.Errorf("client rpc.stage errors = %d, want 2 (both attempts busy)", got)
-	}
-
-	if err := c.Release(token); err != nil {
-		t.Fatal(err)
-	}
-}

@@ -11,7 +11,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"time"
 
 	"fbcache/internal/bundle"
 	"fbcache/internal/metrics"
@@ -26,11 +25,6 @@ var ErrTooLarge = errors.New("srm: bundle exceeds cache capacity")
 
 // ErrClosed reports an SRM that has been shut down.
 var ErrClosed = errors.New("srm: closed")
-
-// ErrBusy reports a stage request that waited out its staging deadline while
-// the cache was saturated with pinned bundles. It is a retryable condition:
-// the wire protocol surfaces it with a retry-after hint.
-var ErrBusy = errors.New("srm: busy: staging deadline exceeded")
 
 // SRM is a thread-safe staging service over a replacement policy.
 type SRM struct {
@@ -66,12 +60,6 @@ type SRM struct {
 	// spans are started and finished while mu is held (the recorder's
 	// stripe locks are leaves under mu — DESIGN.md §10).
 	rec *span.Recorder //fbvet:guardedby mu
-
-	// stageTimeout bounds how long one Stage may block waiting for pinned
-	// capacity; 0 means wait forever. See WithStageTimeout.
-	stageTimeout time.Duration //fbvet:guardedby mu
-	// storeAttempts bounds tries per store operation (>= 1).
-	storeAttempts int //fbvet:guardedby mu
 }
 
 // New builds an SRM over the given policy and catalog. The catalog provides
@@ -82,7 +70,7 @@ func New(pol policy.Policy, cat *bundle.Catalog) *SRM {
 		panic("srm: nil policy or catalog")
 	}
 	s := &SRM{
-		pol: pol, cat: cat, sizeOf: cat.SizeFunc(), storeAttempts: 3,
+		pol: pol, cat: cat, sizeOf: cat.SizeFunc(),
 		unsynced: make(map[bundle.FileID]bool),
 		// 1 MB .. 32 GB in powers of two; larger requests land in +Inf.
 		reqBytes: obs.NewHistogram(obs.ExpBuckets(float64(bundle.MB), 2, 16)),
@@ -108,41 +96,14 @@ func (s *SRM) Spans() *span.Recorder {
 	return s.rec
 }
 
-// WithStageTimeout sets the per-request staging deadline: a Stage call that
-// cannot pin its bundle within d fails with ErrBusy instead of blocking
-// forever behind other jobs' pins. 0 restores unbounded waiting.
-func (s *SRM) WithStageTimeout(d time.Duration) *SRM {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.stageTimeout = d
-	return s
-}
-
-// StageTimeout reports the configured staging deadline (0 = unbounded).
-func (s *SRM) StageTimeout() time.Duration {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.stageTimeout
-}
-
-// WithStoreRetries bounds attempts per store operation (default 3). Values
-// below 1 are clamped to 1 (no retries).
-func (s *SRM) WithStoreRetries(attempts int) *SRM {
-	if attempts < 1 {
-		attempts = 1
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.storeAttempts = attempts
-	return s
-}
-
 // Release undoes a successful Stage. It is safe to call exactly once.
 type Release func()
 
 // Stage admits b into the cache and pins it, blocking while the bundle
-// cannot coexist with currently pinned bundles. On success the returned
-// Release must be called when the job finishes processing.
+// cannot coexist with currently pinned bundles: it waits for a Release to
+// free pinned capacity, or fails with ErrClosed once Close is called. On
+// success the returned Release must be called when the job finishes
+// processing.
 func (s *SRM) Stage(b bundle.Bundle) (Release, policy.Result, error) {
 	return s.StageCtx(span.Context{}, b)
 }
@@ -163,43 +124,23 @@ func (s *SRM) StageCtx(ctx span.Context, b bundle.Bundle) (Release, policy.Resul
 		s.col.Record(res)
 		return nil, res, fmt.Errorf("%w: %v > %v", ErrTooLarge, size, s.pol.Cache().Capacity())
 	}
-	// The deadline is a timer flipping a bool under the mutex rather than a
-	// wall-clock comparison, so no time value flows into SRM state.
-	expired := false
-	if s.stageTimeout > 0 {
-		timer := time.AfterFunc(s.stageTimeout, func() {
-			s.mu.Lock()
-			expired = true
-			s.cond.Broadcast()
-			s.mu.Unlock()
-		})
-		defer timer.Stop()
-	}
-	if !s.closed && !expired && s.pinnedBytes+size > s.pol.Cache().Capacity() {
+	if !s.closed && s.pinnedBytes+size > s.pol.Cache().Capacity() {
 		// The wait span exists only when the request actually blocks, so
 		// its histogram is the queue-wait distribution, not a spike at ~0.
 		w := s.rec.StartChild(ctx, span.OpStageWait)
-		for !s.closed && !expired && s.pinnedBytes+size > s.pol.Cache().Capacity() {
+		for !s.closed && s.pinnedBytes+size > s.pol.Cache().Capacity() {
 			s.waiting++
 			s.cond.Wait()
 			s.waiting--
 		}
-		switch {
-		case s.closed:
+		if s.closed {
 			w.Finish(span.ErrClosed)
-		case s.pinnedBytes+size > s.pol.Cache().Capacity():
-			w.Finish(span.ErrBusy)
-		default:
+		} else {
 			w.Finish(span.ErrNone)
 		}
 	}
 	if s.closed {
 		return nil, policy.Result{}, ErrClosed
-	}
-	if s.pinnedBytes+size > s.pol.Cache().Capacity() {
-		// Deadline passed and capacity still isn't there.
-		s.res.Timeouts++
-		return nil, policy.Result{}, fmt.Errorf("%w (waited %v)", ErrBusy, s.stageTimeout)
 	}
 
 	adm := s.rec.StartChild(ctx, span.OpStageAdmit)
@@ -256,25 +197,6 @@ func (s *SRM) StageCtx(ctx span.Context, b bundle.Bundle) (Release, policy.Resul
 	return release, res, nil
 }
 
-// StageWithTTL is Stage with a lease: if the caller has not released the
-// bundle after ttl, the SRM reclaims the pins itself, so a crashed or hung
-// job can never wedge the cache. Releasing after expiry is a harmless no-op.
-func (s *SRM) StageWithTTL(b bundle.Bundle, ttl time.Duration) (Release, policy.Result, error) {
-	release, res, err := s.Stage(b)
-	if err != nil {
-		return release, res, err
-	}
-	if ttl > 0 {
-		timer := time.AfterFunc(ttl, release)
-		inner := release
-		release = func() {
-			timer.Stop()
-			inner()
-		}
-	}
-	return release, res, nil
-}
-
 // StageNames resolves file names through the catalog and stages the bundle.
 func (s *SRM) StageNames(names []string) (Release, policy.Result, error) {
 	return s.StageNamesCtx(span.Context{}, names)
@@ -313,8 +235,8 @@ type Snapshot struct {
 	CacheUsed     bundle.Size
 	CacheCapacity bundle.Size
 	Policy        string
-	// Resilience counts fault-handling events: staging-deadline timeouts and
-	// store-operation retries. All zero on a healthy, uncontended server.
+	// Resilience counts store-operation retries (Retries); the SRM sets no
+	// other field. Zero on a server whose store never fails.
 	Resilience metrics.Resilience
 }
 

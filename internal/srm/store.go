@@ -90,11 +90,14 @@ func (s *SRM) markUnsynced(files bundle.Bundle) {
 	}
 }
 
+// storeAttempts bounds tries per store operation.
+const storeAttempts = 3
+
 // retryStore runs op up to storeAttempts times, counting each repeat in the
 // resilience metrics. Called with s.mu held.
 func (s *SRM) retryStore(op func() error) error {
 	var err error
-	for attempt := 0; attempt < s.storeAttempts; attempt++ {
+	for attempt := 0; attempt < storeAttempts; attempt++ {
 		if attempt > 0 {
 			s.res.Retries++
 		}
